@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: verify test lint cache-guard chaos coverage smoke-streaming bench-throughput bench-baseline bench-obs bench-lint bench-lint-floor bench-faults bench-cache bench-streaming bench-streaming-baseline bench-graph bench-graph-baseline bench-scale bench-scale-baseline
+.PHONY: verify test lint cache-guard chaos fidelity coverage smoke-streaming bench-throughput bench-baseline bench-obs bench-lint bench-lint-floor bench-faults bench-cache bench-streaming bench-streaming-baseline bench-graph bench-graph-baseline bench-scale bench-scale-baseline
 
 ## Tier-1 tests + determinism lint + a ~10s smoke run of the executor.
 verify:
@@ -26,6 +26,12 @@ cache-guard:
 ## Fault-injection invariants only (the @pytest.mark.chaos suite).
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q -m chaos
+
+## Paper-shape assertions: the benchmarks/bench_*.py suites re-derive
+## each figure and table and assert the paper's claims on it (timing
+## disabled, so this is a correctness gate, not a perf run).
+fidelity:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable
 
 ## Statement-coverage gate: repro.graph must stay >= 90% covered.
 ## Uses pytest-cov when installed (also enforces the repo-wide

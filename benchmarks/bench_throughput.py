@@ -93,7 +93,7 @@ _parallel_observations = {}
 
 @pytest.mark.parametrize(
     "workers,backend",
-    [(1, "serial"), (2, "process"), (4, "process"), (4, "thread")],
+    [(1, "serial"), (2, "process"), (4, "process")],
 )
 def test_throughput_parallel_crawl(benchmark, bench_study, workers, backend):
     """Crawl-phase throughput, serial vs. sharded worker pools.

@@ -238,7 +238,7 @@ def main(argv=None):
     rows = [serial_row]
     print(f"  1xserial   {serial_row['seconds']:7.3f}s  "
           f"{serial_row['crawls_per_second']:8.1f} crawls/s")
-    for workers, backend in ((2, "process"), (4, "process"), (4, "thread")):
+    for workers, backend in ((2, "process"), (4, "process")):
         row, keys = time_platform_window(world, workers, backend)
         assert keys == baseline_keys, (
             f"determinism violated: {workers}x{backend} diverged"

@@ -1,9 +1,8 @@
 """Ten-second smoke test of the parallel crawl path.
 
-Runs a small study window serially, on a 4-worker thread pool, and on a
-2-worker process pool, and asserts the executor's determinism contract:
-identical observation sequences and stats totals for the same seed. Run
-by ``scripts/verify.sh`` (or ``make verify``) so regressions in the
+Runs a small study window serially and on a 2-worker process pool, and
+asserts the executor's determinism contract: identical observation
+sequences and stats totals for the same seed. Run by ``scripts/verify.sh`` (or ``make verify``) so regressions in the
 sharded path are caught without the full benchmark suite.
 """
 
@@ -40,7 +39,7 @@ def main():
     world = World(WorldConfig(seed=7, n_domains=3_000))
     serial_keys, serial_stats, serial_s = run(world)
     print(f"  serial:     {len(serial_keys)} observations in {serial_s:.2f}s")
-    for workers, backend in ((4, "thread"), (2, "process")):
+    for workers, backend in ((2, "process"),):
         executor = CrawlExecutor(
             ExecutorConfig(workers=workers, backend=backend)
         )
@@ -56,7 +55,7 @@ def main():
         ):
             print(f"FAIL: {label} stats diverge from serial")
             return 1
-    print("executor smoke: serial == threads == processes")
+    print("executor smoke: serial == processes")
     return 0
 
 

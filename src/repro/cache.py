@@ -109,14 +109,18 @@ CODE_VERSIONS: Dict[str, int] = {
 #: this declaration statically, without importing the package.
 STAGE_CLOSURES: Dict[str, List[str]] = {
     "social-crawl": [
+        "repro.crawler.browser",
         "repro.crawler.capture",
         "repro.crawler.columnar",
         "repro.crawler.executor",
         "repro.crawler.platform",
         "repro.crawler.queue",
+        "repro.crawler.seeds",
         "repro.crawler.spill",
+        "repro.det",
         "repro.detect.engine",
         "repro.web.lru",
+        "repro.web.serving",
         "repro.web.worldgen",
     ],
     "toplist-probes": [

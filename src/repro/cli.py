@@ -54,13 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="crawl-phase worker count (1 = serial)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker-pool backend used when --workers > 1",
+        help="crawl-phase worker count (1 = serial; more fans the crawl "
+        "out over a process pool)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -226,21 +221,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     observe = args.metrics_out is not None or args.trace_out is not None
     obs = Observability() if observe else None
-    study = Study(
-        StudyConfig(
+    try:
+        config = StudyConfig(
             seed=args.seed,
             n_domains=args.domains,
             toplist_size=min(args.toplist, args.domains),
             parallelism=args.workers,
-            backend=args.backend,
             cache_dir=None if args.no_cache else args.cache_dir,
             memory_budget=args.memory_budget,
-        ),
-        obs=obs,
-    )
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    study = Study(config, obs=obs)
     handler = {
         "crawl": _cmd_crawl,
         "table1": _cmd_table1,

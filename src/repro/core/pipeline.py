@@ -26,7 +26,7 @@ from repro.core.adoption import AdoptionSeries, month_starts
 from repro.core.marketshare import MarketShareCurve, marketshare_by_toplist_size
 from repro.core.switching import SwitchingFlows
 from repro.core.vantage import VantageTable
-from repro.crawler.executor import CrawlExecutor, ExecutorConfig
+from repro.crawler.executor import BACKENDS, CrawlExecutor, ExecutorConfig
 from repro.crawler.platform import (
     CaptureStore,
     NetographPlatform,
@@ -63,8 +63,9 @@ class StudyConfig:
     study_end: dt.date = dt.date(2020, 9, 30)
     #: Crawl-phase worker count; 1 keeps the plain serial loops.
     parallelism: int = 1
-    #: Worker-pool backend for ``parallelism > 1``: "thread" | "process".
-    backend: str = "thread"
+    #: Worker-pool backend for ``parallelism > 1``: "process" (a
+    #: process pool) or "serial" (run the shards inline).
+    backend: str = "process"
     #: Chaos schedule injected into every crawl phase; ``None`` keeps
     #: runs bit-identical to a build without :mod:`repro.faults`.
     faults: Optional[FaultSchedule] = None
@@ -86,6 +87,17 @@ class StudyConfig:
     #: never part of a fingerprint, cannot change results (spilling is
     #: bit-invisible; digest equality is pinned by ``tests/test_scale.py``).
     memory_budget: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.parallelism < 1:
+            raise ValueError(
+                f"parallelism must be >= 1 (1 = serial), got {self.parallelism}"
+            )
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; expected one of "
+                f"{', '.join(BACKENDS)}"
+            )
 
 
 class Study:
@@ -121,7 +133,7 @@ class Study:
     @cached_property
     def executor(self) -> Optional[CrawlExecutor]:
         """The crawl executor implied by the parallelism knobs, if any."""
-        if self.config.parallelism <= 1:
+        if self.config.parallelism == 1:
             return None
         return CrawlExecutor(
             ExecutorConfig(

@@ -15,12 +15,9 @@ the same seed therefore produce *identical* observation sets, for any
 worker count, backend, or shard layout. ``tests/test_executor.py``
 enforces this contract.
 
-Three backends are supported:
+Two backends are supported:
 
 * ``"serial"`` -- run shards inline (also used when ``workers == 1``);
-* ``"thread"`` -- a :class:`~concurrent.futures.ThreadPoolExecutor`.
-  Shards share the caller's :class:`~repro.web.worldgen.World`; useful
-  on free-threaded builds and for I/O-bound oracle implementations;
 * ``"process"`` -- a :class:`~concurrent.futures.ProcessPoolExecutor`.
   Shard tasks carry the :class:`~repro.web.worldgen.WorldConfig` instead
   of the world itself; each worker process lazily regenerates (and
@@ -31,7 +28,7 @@ Three backends are supported:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -55,7 +52,7 @@ R = TypeVar("R")
 MAX_RESUMES = 8
 
 #: Supported worker-pool backends.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ class ExecutorConfig:
     """
 
     workers: int = 1
-    backend: str = "thread"
+    backend: str = "process"
     #: Shards per worker; >1 lets the pool balance uneven shard costs.
     shards_per_worker: int = 4
 
@@ -109,11 +106,10 @@ class ShardStats:
     #: Times the shard's worker crashed and was resumed from its
     #: checkpoint (0 outside chaos runs).
     resumes: int = 0
-    #: Pickled size of the shard's payload in bytes (0 for shared-memory
-    #: backends, which never serialize it). The process backend ships
-    #: ``(world ref, shard spec)`` recipes, so this stays a few ints per
-    #: crawl -- the throughput benchmark reports it per shard to keep
-    #: serialization regressions attributable.
+    #: Pickled size of the shard's payload in bytes. Shards ship
+    #: ``(world config, shard spec)`` recipes, so this stays a few ints
+    #: per crawl -- the throughput benchmark reports it per shard to
+    #: keep serialization regressions attributable.
     payload_bytes: int = 0
 
 
@@ -153,7 +149,7 @@ class ExecutorStats:
 
     @property
     def payload_bytes(self) -> int:
-        """Total serialized payload shipped to workers (0 when shared)."""
+        """Total serialized payload shipped to workers."""
         return sum(s.payload_bytes for s in self.shards)
 
     def summary(self) -> str:
@@ -251,19 +247,13 @@ def partition_grouped(
 #: Eviction is bit-invisible: worlds regenerate from their config.
 _WORLD_CACHE: BoundedLRU = BoundedLRU(maxsize=4)
 
-WorldRef = Union[World, WorldConfig]
 
-
-def resolve_world(ref: WorldRef) -> World:
+def resolve_world(ref: WorldConfig) -> World:
     """Materialize a world reference inside a worker.
 
-    Thread shards receive the :class:`World` itself (shared, read-mostly:
-    site generation is deterministic, so racing generations of the same
-    rank produce equal values). Process shards receive the
-    :class:`WorldConfig` and regenerate the world once per process.
+    Shards receive the :class:`WorldConfig` and regenerate the world
+    once per process (or find the parent's, inherited through fork).
     """
-    if isinstance(ref, World):
-        return ref
     world = _WORLD_CACHE.get(ref)
     if world is None:
         # First materialization in this process (a spawn-started worker
@@ -275,24 +265,22 @@ def resolve_world(ref: WorldRef) -> World:
 
         default_psl()
         world = World(ref)
-        # Benign race: worlds are a deterministic function of their
-        # config, so thread workers racing here store equal values.
+        # Per-process memo: worlds are a deterministic function of
+        # their config, so every process stores an equal value.
         _WORLD_CACHE[ref] = world  # repro-lint: disable=RACE001
     return world
 
 
-def world_ref_for_backend(world: World, backend: str) -> WorldRef:
-    """The cheapest world handle that can cross the backend's boundary.
+def publish_world(world: World) -> WorldConfig:
+    """The handle shard payloads carry for *world*: its config.
 
-    For the process backend the world is also registered in the resolver
-    cache: with a fork-based start method the child processes inherit
-    the parent's (lazily warmed) world via copy-on-write instead of
-    regenerating their own.
+    The world is also registered in the resolver cache: with a
+    fork-based start method the child processes inherit the parent's
+    (lazily warmed) world via copy-on-write instead of regenerating
+    their own.
     """
-    if backend == "process":
-        _WORLD_CACHE.setdefault(world.config, world)
-        return world.config
-    return world
+    _WORLD_CACHE.setdefault(world.config, world)
+    return world.config
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +311,7 @@ class CrawlExecutor:
     The executor is generic over the shard payload: the social platform
     submits day-range shards, the toplist crawler domain-range shards.
     Shard functions must be module-level callables and payloads/results
-    picklable so the ``process`` backend can ship them.
+    picklable so the process pool can ship them.
 
     Shard functions may die mid-shard by raising
     :class:`~repro.faults.inject.WorkerCrash` (chaos schedules do this
@@ -369,13 +357,8 @@ class CrawlExecutor:
                     )
                     resumes[i] += 1
         else:
-            pool_cls = (
-                ThreadPoolExecutor
-                if self.config.backend == "thread"
-                else ProcessPoolExecutor
-            )
             workers = min(self.config.workers, n)
-            with pool_cls(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
                     pool.submit(_timed_call, fn, p) for p in slots
                 ]

@@ -12,31 +12,37 @@ capture queue serially (the 1h/48h cooldown rules are inherently
 sequential, but cheap -- dictionary lookups only). The *crawl phase*
 visits every accepted URL; it is embarrassingly parallel because each
 crawl's randomness is derived from per-event keys, never from shared
-sequential state. Passing a :class:`~repro.crawler.executor.CrawlExecutor`
-fans the crawl phase out over day-range shards; the default is the plain
-serial loop.
+sequential state. Passing a parallel
+:class:`~repro.crawler.executor.CrawlExecutor` fans the crawl phase out
+over day-range shards on a process pool; otherwise the serial loop
+crawls each day right after deduplicating it.
 
-The crawl phase has two equivalent implementations:
+Both crawl through one kernel, :func:`crawl_batch`, one day of accepted
+events at a time. The kernel picks its path in one place:
 
-* the **row path** (``retain_captures=True``): full ``Capture`` objects
-  through :func:`crawl_share_event`, as the tests and the toplist study
-  need;
-* the **compact path** (the default): :func:`crawl_share_event_compact`
-  renders only the visit skeleton and yields a :class:`CompactCrawl` --
-  interned ids and a fingerprint bitmask, no transaction or page
-  objects -- which lands directly in the columnar
-  :class:`~repro.crawler.columnar.CaptureStore`.
+* ``retain_captures=True``: full ``Capture`` objects through
+  :func:`crawl_share_event`, as the tests need;
+* a fault schedule: :func:`crawl_share_event_compact` per event, which
+  renders only the visit skeleton and runs the retry loop;
+* otherwise: the event keys and vantage/delay draws of the whole batch
+  are derived in numpy (:func:`_fold64_arr`, :func:`_draw_arr`), then
+  each visit runs through :func:`~repro.web.serving.visit_compact`.
 
-Both derive every observable from the same keyed draws
+The two compact paths detect the batch with one
+:meth:`~repro.detect.engine.DetectionEngine.detect_batch` call and land
+interned ids in the columnar
+:class:`~repro.crawler.columnar.CaptureStore` with one
+:meth:`~repro.crawler.columnar.CaptureStore.append_batch` call. All
+three derive every observable from the same keyed draws
 (:mod:`repro.web.serving`), so they are bit-identical where they
-overlap; ``tests/test_columnar.py`` pins that equivalence.
+overlap; ``tests/test_columnar.py`` and ``tests/test_executor.py`` pin
+that equivalence.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime as dt
-import itertools
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -48,6 +54,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -73,10 +80,9 @@ from repro.crawler.executor import (
     CrawlExecutor,
     ExecutorStats,
     ShardStats,
-    WorldRef,
     partition_grouped,
+    publish_world,
     resolve_world,
-    world_ref_for_backend,
 )
 from repro.crawler.queue import CaptureQueue
 from repro.crawler.seeds import ShareEvent, SocialShareStream, StreamConfig
@@ -96,18 +102,24 @@ from repro.net import publish_cache_gauges
 from repro.net.psl import default_psl
 from repro.obs import Observability, resolve_obs
 from repro.obs.memory import publish_memory_gauges
-from repro.web.serving import structural_band, visit_compact, visit_key_prefix
-from repro.web.worldgen import CacheLimits, World, publish_world_cache_gauges
+from repro.web.serving import visit_compact, visit_key_prefix
+from repro.web.worldgen import (
+    CacheLimits,
+    World,
+    WorldConfig,
+    publish_world_cache_gauges,
+)
 
 __all__ = [
     "CaptureStore",  # re-export: the store moved to repro.crawler.columnar
     "CompactCrawl",
+    "CrawlCounts",
     "NetographPlatform",
     "PlatformConfig",
     "PlatformStats",
     "SocialShardSpec",
-    "SocialShardTask",
     "SocialShardResult",
+    "crawl_batch",
     "crawl_share_event",
     "crawl_share_event_compact",
     "crawl_social_shard",
@@ -118,9 +130,18 @@ __all__ = [
 _EU_CLOUD_ID = VANTAGE_IDS[Vantage("EU", "cloud")]
 _US_CLOUD_ID = VANTAGE_IDS[Vantage("US", "cloud")]
 
-#: date-ordinal -> date memo for the compact path (a run sees at most a
+#: date-ordinal -> date memo for the compact paths (a run sees at most a
 #: few hundred distinct days).
 _DATES: Dict[int, dt.date] = {}
+
+
+def _date(ordinal: int) -> dt.date:
+    """Memoized :meth:`datetime.date.fromordinal`."""
+    date = _DATES.get(ordinal)
+    if date is None:
+        # Per-process memo: fromordinal is pure.
+        date = _DATES[ordinal] = dt.date.fromordinal(ordinal)  # repro-lint: disable=RACE001
+    return date
 
 
 @dataclass(frozen=True)
@@ -211,7 +232,7 @@ def _event_prefix(seed: int) -> int:
 # `(x >> 11) * 2**-53` float conversion is exact in both (the shifted
 # value fits in 53 bits), so these produce bit-identical keys and draws.
 # The per-event path (repro.det.KeyedRand) stays the source of truth --
-# shard workers use it -- and tests pin the equivalence.
+# faulted crawls use it -- and tests pin the equivalence.
 _U64 = np.uint64
 _NP_MC = _U64(0xFF51AFD7ED558CCD)
 _NP_M1 = _U64(0xBF58476D1CE4E5B9)
@@ -411,11 +432,9 @@ def _compact_attempt(
     cutoff: float,
     capture_id: int,
 ) -> CompactCrawl:
-    date = _DATES.get(ordinal)
-    if date is None:
-        # Benign race: fromordinal is pure, equal values race in.
-        date = _DATES[ordinal] = dt.date.fromordinal(ordinal)  # repro-lint: disable=RACE001
-    visit = visit_compact(world, event.url, date, region, "cloud", cutoff)
+    visit = visit_compact(
+        world, event.url, _date(ordinal), region, "cloud", cutoff
+    )
     return CompactCrawl(
         capture_id=capture_id,
         domain=_final_domain(visit.final_host),
@@ -460,50 +479,210 @@ def _faulted_compact(
 
 
 # ----------------------------------------------------------------------
-# Shard tasks (module-level so the process backend can pickle them)
+# The crawl kernel (serial day loop and shard workers alike)
+# ----------------------------------------------------------------------
+@dataclass
+class CrawlCounts:
+    """Outcomes of crawled events; ``ok + failed + exhausted == crawls``
+    (the Section 3.4 accounting)."""
+
+    ok: int = 0
+    failed: int = 0
+    #: Failures whose retry budget ran out on an injected fault.
+    exhausted: int = 0
+
+    @property
+    def crawls(self) -> int:
+        return self.ok + self.failed + self.exhausted
+
+    @property
+    def failures(self) -> int:
+        return self.failed + self.exhausted
+
+    def count(self, succeeded: bool, fault: Optional[str]) -> None:
+        if succeeded:
+            self.ok += 1
+        elif fault is not None:
+            self.exhausted += 1
+        else:
+            self.failed += 1
+
+    def merge(self, other: "CrawlCounts") -> None:
+        self.ok += other.ok
+        self.failed += other.failed
+        self.exhausted += other.exhausted
+
+
+def crawl_batch(
+    world: World,
+    config: PlatformConfig,
+    batch: Sequence[Tuple[ShareEvent, int]],
+    store: Union[CaptureStore, SpillingCaptureStore],
+    engine: DetectionEngine,
+    clock: Clock,
+    tally: FaultTally,
+) -> CrawlCounts:
+    """Crawl, detect and store *batch*, ``(event, capture_id)`` pairs in
+    acceptance order; returns the outcome counts.
+
+    The one social-crawl kernel: the serial loop calls it once per day,
+    shard workers once per shard day. The path is chosen here and only
+    here (see the module docstring); every path appends the same rows.
+    """
+    counts = CrawlCounts()
+    if not batch:
+        return counts
+    if config.retain_captures:
+        for event, capture_id in batch:
+            capture = crawl_share_event(
+                world, event, config, capture_id, clock=clock, tally=tally
+            )
+            counts.count(capture.succeeded, capture.fault)
+            store.add(capture, engine.detect(capture).cmp_key)
+        return counts
+    if config.faults is not None:
+        rows = [
+            crawl_share_event_compact(
+                world, event, config, capture_id, clock=clock, tally=tally
+            )
+            for event, capture_id in batch
+        ]
+        for row in rows:
+            counts.count(row.succeeded, row.fault)
+        domains = [row.domain for row in rows]
+        ordinals = [row.date_ordinal for row in rows]
+        masks = [row.mask for row in rows]
+        vantage_ids = [row.vantage_id for row in rows]
+        n_requests = [row.n_requests for row in rows]
+    else:
+        domains, ordinals, masks, vantage_ids, n_requests, counts.ok = (
+            _visit_batch(world, config, batch)
+        )
+        counts.failed = len(batch) - counts.ok
+    cmp_keys = engine.detect_batch(masks, ordinals)
+    store.append_batch(domains, ordinals, cmp_keys, vantage_ids, n_requests)
+    return counts
+
+
+def _visit_batch(
+    world: World,
+    config: PlatformConfig,
+    batch: Sequence[Tuple[ShareEvent, int]],
+) -> Tuple[List[str], List[int], List[int], List[int], List[int], int]:
+    """The fault-free compact columns of *batch*, keys derived vectorized.
+
+    Replicates :func:`crawl_share_event_compact` row by row: the event
+    keys and the vantage/delay draws are computed for the whole batch
+    with the uint64 replicas of the keyed fold (:func:`_fold64_arr` --
+    bit-identical to :mod:`repro.det`), then each visit gets its
+    precomputed key. Returns ``(domains, date ordinals, masks, vantage
+    ids, request counts, successes)``.
+    """
+    n = len(batch)
+    ats = [event.at for event, _capture_id in batch]
+    h64s = np.fromiter(
+        (event.url.h64 for event, _capture_id in batch),
+        dtype=np.uint64, count=n,
+    )
+    ords = np.fromiter(
+        (at.toordinal() for at in ats), dtype=np.uint64, count=n
+    )
+    secs = np.fromiter(
+        (at.hour * 3600 + at.minute * 60 + at.second for at in ats),
+        dtype=np.uint64, count=n,
+    )
+    ekeys = _fold64_arr(_event_prefix(config.seed), h64s, ords, secs)
+    eu = _draw_arr(ekeys, 1) < config.eu_share
+    delays = (_draw_arr(ekeys, 2) * 240).astype(np.int64)
+    # when = at + 60..300s; crossing midnight rolls the capture date.
+    cap_ords = ords.astype(np.int64) + (
+        secs.astype(np.int64) + 60 + delays >= 86_400
+    )
+    vkeys = _fold64_arr(
+        visit_key_prefix(world.config.seed),
+        h64s, cap_ords.astype(np.uint64), (~eu).astype(np.uint64), 0,
+    )
+    cutoff = config.profile.cutoff
+    ordinals = cap_ords.tolist()
+    domains: List[str] = []
+    masks: List[int] = []
+    n_requests: List[int] = []
+    ok = 0
+    for (event, _capture_id), in_eu, vkey, ordinal in zip(
+        batch, eu.tolist(), vkeys.tolist(), ordinals
+    ):
+        visit = visit_compact(
+            world, event.url, _date(ordinal), "EU" if in_eu else "US",
+            "cloud", cutoff, vkey,
+        )
+        kept = visit.kept_hosts
+        domains.append(_final_domain(visit.final_host))
+        masks.append(hosts_mask(kept))
+        n_requests.append(len(kept))
+        status = visit.status
+        if status is not None and 200 <= status < 400:
+            ok += 1
+    vantage_ids = np.where(eu, _EU_CLOUD_ID, _US_CLOUD_ID).tolist()
+    return domains, ordinals, masks, vantage_ids, n_requests, ok
+
+
+def _new_store(
+    config: PlatformConfig, shard_id: Optional[int] = None
+) -> Union[CaptureStore, SpillingCaptureStore]:
+    """An empty crawl-phase store for *config*.
+
+    Spilling stays off under a fault schedule (crash checkpoints ship
+    whole stores through :class:`WorkerCrash`) and in
+    ``retain_captures`` mode. Shards sharing a configured spill
+    directory get disjoint subdirectories so their segment files never
+    collide.
+    """
+    spill = config.spill
+    if spill is None or config.faults is not None or config.retain_captures:
+        return CaptureStore(retain_captures=config.retain_captures)
+    if shard_id is not None and spill.directory is not None:
+        spill = dataclasses.replace(
+            spill,
+            directory=str(Path(spill.directory) / f"shard-{shard_id:04d}"),
+        )
+    return SpillingCaptureStore(spill)
+
+
+# ----------------------------------------------------------------------
+# Shard tasks (module-level so the process pool can pickle them)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SocialShardTask:
-    """One day-range shard of accepted share events (materialized)."""
-
-    shard_id: int
-    world_ref: WorldRef
-    config: PlatformConfig
-    #: ``(event, capture_id)`` pairs, in serial acceptance order.
-    events: Tuple[Tuple[ShareEvent, int], ...]
-    #: Resume bookkeeping, set by :func:`resume_social_shard` after a
-    #: worker crash: skip tasks below ``start_index`` and seed state
-    #: from ``checkpoint``.
-    start_index: int = 0
-    shard_attempt: int = 0
-    checkpoint: Optional["SocialShardResult"] = None
-
-
-@dataclass(frozen=True)
 class SocialShardSpec:
-    """One shard as a *recipe* instead of materialized events.
+    """One day-range shard of accepted share events, as a *recipe*.
 
-    The process backend used to pickle every accepted ``ShareEvent``
-    (URL, timestamp, platform) into each worker. Since the seed stream
-    is deterministic per day, a shard is fully described by the stream
-    config plus, per day, the indices of the accepted events in that
-    day's stream -- a few ints per crawl. The worker regenerates the
-    day's events and selects the accepted ones; capture ids are the
-    serial acceptance order, contiguous within a shard by construction
-    (shards are contiguous slices of the acceptance sequence).
+    Since the seed stream is deterministic per day, a shard is fully
+    described by the stream config plus, per day, the indices of the
+    accepted events in that day's stream -- a few ints per crawl. The
+    worker regenerates the day's events and selects the accepted ones;
+    capture ids are the serial acceptance order, contiguous within a
+    shard by construction (shards are contiguous slices of the
+    acceptance sequence).
     """
 
     shard_id: int
-    world_ref: WorldRef
+    world_ref: WorldConfig
     config: PlatformConfig
     stream_config: StreamConfig
     #: ``(day_ordinal, accepted-event indices within that day)`` runs,
     #: in acceptance order.
     runs: Tuple[Tuple[int, Tuple[int, ...]], ...]
     first_capture_id: int
+    #: Resume bookkeeping, set by :func:`resume_social_shard` after a
+    #: worker crash: skip events below ``start_index`` and seed state
+    #: from ``checkpoint``.
     start_index: int = 0
     shard_attempt: int = 0
     checkpoint: Optional["SocialShardResult"] = None
+
+    @property
+    def n_events(self) -> int:
+        """Number of crawls this shard describes."""
+        return sum(len(indices) for _ordinal, indices in self.runs)
 
     def materialize(self, world: World) -> Tuple[Tuple[ShareEvent, int], ...]:
         """Regenerate this shard's ``(event, capture_id)`` sequence.
@@ -556,37 +735,25 @@ class SocialShardSpec:
             yield tuple(chunk)
 
 
-def _shard_spill_settings(
-    config: PlatformConfig, task: "SocialShardSpec | SocialShardTask"
-) -> SpillSettings:
-    """Per-shard spill settings: shards sharing a configured directory
-    get disjoint subdirectories so their segment files never collide."""
-    spill = config.spill
-    assert spill is not None
-    if spill.directory is None:
-        return spill
-    return dataclasses.replace(
-        spill,
-        directory=str(Path(spill.directory) / f"shard-{task.shard_id:04d}"),
-    )
-
-
 @dataclass(frozen=True)
 class SocialShardResult:
     shard_id: int
     store: Union[CaptureStore, SpillingCaptureStore]
-    failures: int
+    counts: CrawlCounts
     captures_seen: int
     overcounted: int
     faults: FaultTally = field(default_factory=FaultTally)
 
+    @property
+    def failures(self) -> int:
+        return self.counts.failures
 
-def crawl_social_shard(
-    task: Union[SocialShardTask, SocialShardSpec]
-) -> SocialShardResult:
+
+def crawl_social_shard(task: SocialShardSpec) -> SocialShardResult:
     """Crawl one shard into a private store (runs inside a worker).
 
-    A chaos schedule may kill the worker before a scheduled task index:
+    Each shard day goes through :func:`crawl_batch`, like a serial day.
+    A chaos schedule may kill the worker before a scheduled event index:
     the shard raises :class:`WorkerCrash` carrying its partial result as
     the checkpoint, and the executor re-submits a task resumed from it.
     Because each crawl is keyed independently, the resumed run's final
@@ -595,96 +762,58 @@ def crawl_social_shard(
     world = resolve_world(task.world_ref)
     config = task.config
     if config.world_cache_limits is not None:
-        # Bit-invisible (evicted memos regenerate identically); under
-        # the thread backend every shard re-applies the same limits to
-        # the shared world, which is idempotent.
+        # Bit-invisible: evicted memos regenerate identically.
         world.set_cache_limits(config.world_cache_limits)
-    if isinstance(task, SocialShardSpec):
-        n_events = _task_size(task)
-        pairs: "Iterator[Tuple[ShareEvent, int]]" = itertools.chain.from_iterable(
-            task.iter_day_chunks(world)
-        )
-    else:
-        n_events = len(task.events)
-        pairs = iter(task.events)
     engine = DetectionEngine()
-    store: Union[CaptureStore, SpillingCaptureStore]
-    if (
-        config.spill is not None
-        and config.faults is None
-        and not config.retain_captures
-    ):
-        # Crash checkpoints ship whole stores through WorkerCrash, so
-        # spilling stays off under a fault schedule (see PlatformConfig).
-        store = SpillingCaptureStore(_shard_spill_settings(config, task))
-    else:
-        store = CaptureStore(retain_captures=config.retain_captures)
+    store = _new_store(config, task.shard_id)
+    counts = CrawlCounts()
     tally = FaultTally()
-    failures = 0
     base_seen = base_overcounted = 0
     if task.checkpoint is not None:
         checkpoint = task.checkpoint
         store.merge(checkpoint.store)
-        failures = checkpoint.failures
+        counts.merge(checkpoint.counts)
         base_seen = checkpoint.captures_seen
         base_overcounted = checkpoint.overcounted
         tally.merge(checkpoint.faults)
+
+    def result() -> SocialShardResult:
+        return SocialShardResult(
+            shard_id=task.shard_id,
+            store=store,
+            counts=counts,
+            captures_seen=base_seen + engine.captures_seen,
+            overcounted=base_overcounted + engine.overcounted,
+            faults=tally,
+        )
+
     clock = VirtualClock()
     schedule = config.faults
     crash_at = (
-        schedule.crash_point(task.shard_id, n_events, task.shard_attempt)
+        schedule.crash_point(task.shard_id, task.n_events, task.shard_attempt)
         if schedule is not None
         else None
     )
-    compact = not config.retain_captures
-    for index, (event, capture_id) in enumerate(pairs):
-        if index < task.start_index:
+    done = 0
+    for chunk in task.iter_day_chunks(world):
+        first, done = done, done + len(chunk)
+        begin = max(first, task.start_index)
+        if begin >= done:
             continue
-        if crash_at is not None and index == crash_at:
-            raise WorkerCrash(
-                task.shard_id,
-                done=index,
-                checkpoint=SocialShardResult(
-                    shard_id=task.shard_id,
-                    store=store,
-                    failures=failures,
-                    captures_seen=base_seen + engine.captures_seen,
-                    overcounted=base_overcounted + engine.overcounted,
-                    faults=tally,
-                ),
-            )
-        if compact:
-            row = crawl_share_event_compact(
-                world, event, config, capture_id, clock=clock, tally=tally
-            )
-            if not row.succeeded:
-                failures += 1
-            cmp_key = engine.detect_compact(row.mask, row.date_ordinal)
-            store.append_row(
-                row.domain, row.date_ordinal, cmp_key, row.vantage_id,
-                row.n_requests,
-            )
-        else:
-            capture = crawl_share_event(
-                world, event, config, capture_id, clock=clock, tally=tally
-            )
-            if not capture.succeeded:
-                failures += 1
-            detection = engine.detect(capture)
-            store.add(capture, detection.cmp_key)
-    return SocialShardResult(
-        shard_id=task.shard_id,
-        store=store,
-        failures=failures,
-        captures_seen=base_seen + engine.captures_seen,
-        overcounted=base_overcounted + engine.overcounted,
-        faults=tally,
-    )
+        crashes = crash_at is not None and begin <= crash_at < done
+        stop = crash_at if crashes else done
+        counts.merge(crawl_batch(
+            world, config, chunk[begin - first:stop - first],
+            store, engine, clock, tally,
+        ))
+        if crashes:
+            raise WorkerCrash(task.shard_id, done=stop, checkpoint=result())
+    return result()
 
 
 def resume_social_shard(
-    task: Union[SocialShardTask, SocialShardSpec], crash: WorkerCrash
-) -> Union[SocialShardTask, SocialShardSpec]:
+    task: SocialShardSpec, crash: WorkerCrash
+) -> SocialShardSpec:
     """The task that continues *task* past *crash* (executor callback)."""
     return dataclasses.replace(
         task,
@@ -733,7 +862,8 @@ class NetographPlatform:
             "crawl_retries_total", "crawl retry attempts by outcome"
         )
         #: Per-shard stores of the most recent sharded run; consumed by
-        #: the cache-populate path so warm entries keep shard granularity.
+        #: the cache-populate path so warm entries keep shard granularity,
+        #: then released by :meth:`_release_shard_stores`.
         self._last_shard_stores: Optional[List[CaptureStore]] = None
 
     # ------------------------------------------------------------------
@@ -781,6 +911,7 @@ class NetographPlatform:
             cache.save_capture_store(
                 fingerprint, self._last_shard_stores or fresh
             )
+            self._release_shard_stores()
             if store is None:
                 return fresh
             if isinstance(fresh, SpillingCaptureStore) and not isinstance(
@@ -794,7 +925,9 @@ class NetographPlatform:
             else:
                 store.merge(fresh)
             return store
-        return self._run_cold(start, end, store, on_day, executor)
+        store = self._run_cold(start, end, store, on_day, executor)
+        self._release_shard_stores()
+        return store
 
     def ingest_day(self, day: dt.date, store: CaptureStore) -> CaptureStore:
         """Crawl one stream day into *store* (the streaming entry point).
@@ -857,15 +990,7 @@ class NetographPlatform:
             # it here. Bit-invisible either way.
             self.world.set_cache_limits(self.config.world_cache_limits)
         if store is None:
-            config = self.config
-            if (
-                config.spill is not None
-                and config.faults is None
-                and not config.retain_captures
-            ):
-                store = SpillingCaptureStore(config.spill)
-            else:
-                store = CaptureStore(retain_captures=config.retain_captures)
+            store = _new_store(self.config)
         parallel = executor is not None and executor.config.parallel
         timing = self.obs.enabled
         with self.obs.span(
@@ -874,10 +999,9 @@ class NetographPlatform:
             end=end.isoformat(),
             parallel=parallel,
         ) as run_span:
-            #: ``(event, capture_id, day_ordinal, index_in_day,
-            #: seconds_in_day)`` in acceptance order; ordinal/index feed
-            #: shard *specs*, seconds feeds the vectorized key derivation.
-            pending: List[Tuple[ShareEvent, int, int, int, int]] = []
+            #: ``(event, capture_id, day_ordinal, index_in_day)`` in
+            #: acceptance order, collected for the shard specs.
+            pending: List[Tuple[ShareEvent, int, int, int]] = []
             crawl_seconds = 0.0
             run_tally = FaultTally()
             day = start
@@ -888,15 +1012,19 @@ class NetographPlatform:
                 self._m_events.inc(len(events))
                 submit_at = self.queue.submit_at
                 day_base = ordinal * 86_400
+                batch: List[Tuple[ShareEvent, int]] = []
                 for index, event in enumerate(events):
                     at = event.at
                     secs = at.hour * 3_600 + at.minute * 60 + at.second
                     if not submit_at(event.url, day_base + secs):
                         continue
                     self._capture_id += 1
-                    pending.append(
-                        (event, self._capture_id, ordinal, index, secs)
-                    )
+                    if parallel:
+                        pending.append(
+                            (event, self._capture_id, ordinal, index)
+                        )
+                    else:
+                        batch.append((event, self._capture_id))
                 if not parallel:
                     # Span-duration timing only; never crawl-visible.
                     batch_start = (
@@ -904,13 +1032,15 @@ class NetographPlatform:
                         if timing
                         else 0.0
                     )
-                    self._crawl_pending(store, pending, run_tally)
+                    self._count(crawl_batch(
+                        self.world, self.config, batch, store,
+                        self.engine, self.clock, run_tally,
+                    ))
                     if timing:
                         crawl_seconds += (
                             time.perf_counter()  # repro-lint: disable=DET002
                             - batch_start
                         )
-                    pending.clear()
                 self.queue.prune(
                     dt.datetime.combine(day, dt.time()) + dt.timedelta(days=1)
                 )
@@ -943,203 +1073,41 @@ class NetographPlatform:
                 )
         return store
 
-    # ------------------------------------------------------------------
-    def _crawl_pending(
-        self,
-        store: CaptureStore,
-        pending: List[Tuple[ShareEvent, int, int, int, int]],
-        tally: FaultTally,
-    ) -> None:
-        """Serial crawl of one day's accepted events."""
-        if self.config.retain_captures:
-            for event, capture_id, _ordinal, _index, _secs in pending:
-                self._crawl_into(store, event, capture_id, tally)
-            return
-        config = self.config
-        if config.faults is None and pending:
-            if structural_band(config.profile.cutoff) is not None:
-                self._crawl_pending_vec(store, pending)
-                return
-        # Columnar fast path: crawl compact rows, detect the whole
-        # batch over the mask column, append rows without objects.
-        world = self.world
-        clock = self.clock
-        rows = [
-            crawl_share_event_compact(
-                world, event, config, capture_id, clock=clock, tally=tally
-            )
-            for event, capture_id, _ordinal, _index, _secs in pending
-        ]
-        cmp_keys = self.engine.detect_batch(
-            [row.mask for row in rows], [row.date_ordinal for row in rows]
-        )
-        store.append_batch(
-            [row.domain for row in rows],
-            [row.date_ordinal for row in rows],
-            cmp_keys,
-            [row.vantage_id for row in rows],
-            [row.n_requests for row in rows],
-        )
-        ok = failed = exhausted = 0
-        for row in rows:
-            if row.succeeded:
-                ok += 1
-            elif row.fault is not None:
-                # Retry budget ran out on an injected fault; keep that
-                # visible separately so the Section 3.4 accounting still
-                # sums (ok + failed + retries_exhausted == crawls).
-                exhausted += 1
-            else:
-                failed += 1
-        self.stats.crawls += len(rows)
-        self.stats.failures += failed + exhausted
-        if ok:
-            self._m_crawls.inc(ok, outcome="ok")
-        if failed:
-            self._m_crawls.inc(failed, outcome="failed")
-        if exhausted:
-            self._m_crawls.inc(exhausted, outcome="retries_exhausted")
-
-    def _crawl_pending_vec(
-        self,
-        store: CaptureStore,
-        pending: List[Tuple[ShareEvent, int, int, int, int]],
-    ) -> None:
-        """One day's fault-free compact batch, keys derived vectorized.
-
-        Replicates :func:`crawl_share_event_compact` row by row: the
-        event keys and the vantage/delay draws are computed for the
-        whole batch with the uint64 replicas of the keyed fold
-        (:func:`_fold64_arr` -- bit-identical to :mod:`repro.det`),
-        then each visit runs through the same structural fast path the
-        per-event code uses. Shard workers keep the scalar path;
-        ``tests/test_executor.py`` pins serial == sharded.
-        """
-        world = self.world
-        config = self.config
-        cutoff = config.profile.cutoff
-        n = len(pending)
-        h64s = np.fromiter(
-            (item[0].url.h64 for item in pending), dtype=np.uint64, count=n
-        )
-        ords = np.fromiter(
-            (item[2] for item in pending), dtype=np.uint64, count=n
-        )
-        secs = np.fromiter(
-            (item[4] for item in pending), dtype=np.uint64, count=n
-        )
-        ekeys = _fold64_arr(_event_prefix(config.seed), h64s, ords, secs)
-        eu = _draw_arr(ekeys, 1) < config.eu_share
-        delays = (_draw_arr(ekeys, 2) * 240).astype(np.int64)
-        # when = at + 60..300s; crossing midnight rolls the capture date.
-        cap_ords = ords.astype(np.int64) + (
-            secs.astype(np.int64) + 60 + delays >= 86_400
-        )
-        vkeys = _fold64_arr(
-            visit_key_prefix(world.config.seed),
-            h64s, cap_ords.astype(np.uint64), (~eu).astype(np.uint64), 0,
-        )
-        eu_l = eu.tolist()
-        vk_l = vkeys.tolist()
-        ord_l = cap_ords.tolist()
-        dates = _DATES
-        domains: List[str] = []
-        masks: List[int] = []
-        n_reqs: List[int] = []
-        ok = 0
-        for i, item in enumerate(pending):
-            co = ord_l[i]
-            date = dates.get(co)
-            if date is None:
-                date = dates[co] = dt.date.fromordinal(co)
-            region = "EU" if eu_l[i] else "US"
-            visit = visit_compact(
-                world, item[0].url, date, region, "cloud", cutoff, vk_l[i]
-            )
-            kept = visit.kept_hosts
-            domains.append(_final_domain(visit.final_host))
-            masks.append(hosts_mask(kept))
-            n_reqs.append(len(kept))
-            status = visit.status
-            if status is not None and 200 <= status < 400:
-                ok += 1
-        cmp_keys = self.engine.detect_batch(masks, ord_l)
-        vid_l = np.where(eu, _EU_CLOUD_ID, _US_CLOUD_ID).tolist()
-        store.append_batch(domains, ord_l, cmp_keys, vid_l, n_reqs)
-        failed = n - ok
-        self.stats.crawls += n
-        self.stats.failures += failed
-        if ok:
-            self._m_crawls.inc(ok, outcome="ok")
-        if failed:
-            self._m_crawls.inc(failed, outcome="failed")
-
-    def _crawl_into(
-        self,
-        store: CaptureStore,
-        event: ShareEvent,
-        capture_id: int,
-        tally: FaultTally,
-    ) -> None:
-        capture = crawl_share_event(
-            self.world,
-            event,
-            self.config,
-            capture_id,
-            clock=self.clock,
-            tally=tally,
-        )
-        self.stats.crawls += 1
-        if not capture.succeeded:
-            self.stats.failures += 1
-            # A failure whose capture still carries a fault kind means
-            # the retry budget ran out on an injected fault; keep that
-            # visible separately so the Section 3.4 accounting still
-            # sums (ok + failed + retries_exhausted == crawls).
-            if capture.fault is not None:
-                self._m_crawls.inc(outcome="retries_exhausted")
-            else:
-                self._m_crawls.inc(outcome="failed")
-        else:
-            self._m_crawls.inc(outcome="ok")
-        detection = self.engine.detect(capture)
-        store.add(capture, detection.cmp_key)
+    def _count(self, counts: CrawlCounts) -> None:
+        """Fold a crawled batch's outcomes into the run stats and the
+        crawl counter (serial days and merged shards alike)."""
+        self.stats.crawls += counts.crawls
+        self.stats.failures += counts.failures
+        for outcome, n in (
+            ("ok", counts.ok),
+            ("failed", counts.failed),
+            # Retry budget ran out on an injected fault; kept visible
+            # separately so ok + failed + retries_exhausted == crawls.
+            ("retries_exhausted", counts.exhausted),
+        ):
+            if n:
+                self._m_crawls.inc(n, outcome=outcome)
 
     # ------------------------------------------------------------------
-    def _shard_payloads(
+    def _shard_specs(
         self,
         executor: CrawlExecutor,
-        accepted: List[Tuple[ShareEvent, int, int, int, int]],
-    ) -> List[Union[SocialShardTask, SocialShardSpec]]:
-        """Partition the acceptance sequence into shard payloads.
+        accepted: List[Tuple[ShareEvent, int, int, int]],
+    ) -> List[SocialShardSpec]:
+        """Partition the acceptance sequence into shard recipes.
 
-        Thread (and serial) backends share memory, so shards carry their
-        event tuples directly. The process backend ships
-        :class:`SocialShardSpec` recipes instead -- the worker holds the
-        world already (``resolve_world``), so the payload shrinks to the
-        per-day accepted indices.
+        The worker holds the world already (``resolve_world``), so each
+        payload shrinks to the per-day accepted indices.
         """
         n_shards = executor.config.n_shards(len(accepted))
-        chunks = partition_grouped(
-            accepted, n_shards, key=lambda item: item[0].at.date()
-        )
-        world_ref = world_ref_for_backend(self.world, executor.config.backend)
-        if executor.config.backend != "process":
-            return [
-                SocialShardTask(
-                    shard_id=i,
-                    world_ref=world_ref,
-                    config=self.config,
-                    events=tuple((item[0], item[1]) for item in chunk),
-                )
-                for i, chunk in enumerate(chunks)
-            ]
-        tasks: List[Union[SocialShardTask, SocialShardSpec]] = []
+        chunks = partition_grouped(accepted, n_shards, key=lambda item: item[2])
+        world_ref = publish_world(self.world)
+        specs: List[SocialShardSpec] = []
         for i, chunk in enumerate(chunks):
             runs: List[Tuple[int, Tuple[int, ...]]] = []
             day_ordinal: Optional[int] = None
             indices: List[int] = []
-            for _event, _capture_id, ordinal, index, _secs in chunk:
+            for _event, _capture_id, ordinal, index in chunk:
                 if ordinal != day_ordinal:
                     if indices:
                         assert day_ordinal is not None
@@ -1150,7 +1118,7 @@ class NetographPlatform:
             if indices:
                 assert day_ordinal is not None
                 runs.append((day_ordinal, tuple(indices)))
-            tasks.append(
+            specs.append(
                 SocialShardSpec(
                     shard_id=i,
                     world_ref=world_ref,
@@ -1160,12 +1128,12 @@ class NetographPlatform:
                     first_capture_id=chunk[0][1],
                 )
             )
-        return tasks
+        return specs
 
     def _run_sharded(
         self,
         executor: CrawlExecutor,
-        accepted: List[Tuple[ShareEvent, int, int, int, int]],
+        accepted: List[Tuple[ShareEvent, int, int, int]],
         store: CaptureStore,
         run_tally: FaultTally,
     ) -> None:
@@ -1174,38 +1142,35 @@ class NetographPlatform:
             backend=executor.config.backend,
             workers=executor.config.workers,
         ) as derive_span:
-            tasks = self._shard_payloads(executor, accepted)
-            derive_span.set(tasks=len(accepted), shards=len(tasks))
+            specs = self._shard_specs(executor, accepted)
+            derive_span.set(tasks=len(accepted), shards=len(specs))
         with self.obs.span(
             "executor.crawl", backend=executor.config.backend
         ) as crawl_span:
             results, seconds, wall, resumes = executor.map_shards(
-                crawl_social_shard, tasks, resume=resume_social_shard
+                crawl_social_shard, specs, resume=resume_social_shard
             )
-            crawl_span.set(shards=len(tasks))
+            crawl_span.set(shards=len(specs))
             self._last_shard_stores = [result.store for result in results]
             if self.obs.enabled:
-                for task, result, secs in zip(tasks, results, seconds):
+                for spec, result, secs in zip(specs, results, seconds):
                     self.obs.tracer.record_span(
                         "executor.shard",
                         secs,
-                        shard=task.shard_id,
-                        tasks=_task_size(task),
-                        crawls=result.store.n_captures,
+                        shard=spec.shard_id,
+                        tasks=spec.n_events,
+                        crawls=result.counts.crawls,
                         failures=result.failures,
                     )
                     self._h_shard_seconds.observe(secs, pipeline="social")
 
-        # Payload accounting: only the process backend serializes shard
-        # payloads; measuring the spec pickles is cheap (a few ints per
-        # crawl) and keeps worker-transfer regressions attributable.
-        if executor.config.backend == "process":
-            payload_sizes = [
-                len(pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL))
-                for t in tasks
-            ]
-        else:
-            payload_sizes = [0] * len(tasks)
+        # Payload accounting: measuring the spec pickles is cheap (a few
+        # ints per crawl) and keeps worker-transfer regressions
+        # attributable.
+        payload_sizes = [
+            len(pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL))
+            for spec in specs
+        ]
         # Merge-duration stat only, not crawl-visible state.
         merge_start = time.perf_counter()  # repro-lint: disable=DET002
         exec_stats = ExecutorStats(
@@ -1213,20 +1178,19 @@ class NetographPlatform:
             workers=executor.config.workers,
             wall_seconds=wall,
         )
-        with self.obs.span("executor.merge", shards=len(tasks)):
-            for task, result, secs, n_resumes, n_bytes in zip(
-                tasks, results, seconds, resumes, payload_sizes
+        with self.obs.span("executor.merge", shards=len(specs)):
+            for spec, result, secs, n_resumes, n_bytes in zip(
+                specs, results, seconds, resumes, payload_sizes
             ):
                 store.merge(result.store)
-                self.stats.crawls += result.store.n_captures
-                self.stats.failures += result.failures
+                self._count(result.counts)
                 run_tally.merge(result.faults)
-                self._absorb_shard_metrics(result)
+                self._absorb_detection(result)
                 exec_stats.shards.append(
                     ShardStats(
-                        shard_id=task.shard_id,
-                        tasks=_task_size(task),
-                        crawls=result.store.n_captures,
+                        shard_id=spec.shard_id,
+                        tasks=spec.n_events,
+                        crawls=result.counts.crawls,
                         failures=result.failures,
                         seconds=secs,
                         resumes=n_resumes,
@@ -1239,6 +1203,14 @@ class NetographPlatform:
         )
         self.stats.executor = exec_stats
 
+    def _release_shard_stores(self) -> None:
+        """Delete the spill segments of the last sharded run's shard
+        stores, once they are merged (and persisted, when caching)."""
+        for shard_store in self._last_shard_stores or ():
+            if isinstance(shard_store, SpillingCaptureStore):
+                shard_store.cleanup()
+        self._last_shard_stores = None
+
     def _meter_faults(self, tally: FaultTally) -> None:
         """Publish a run's fault/retry tally to the metrics registry."""
         for kind, count in sorted(tally.by_kind.items()):
@@ -1248,18 +1220,9 @@ class NetographPlatform:
         if tally.exhausted:
             self._m_retries.inc(tally.exhausted, outcome="exhausted")
 
-    def _absorb_shard_metrics(self, result: SocialShardResult) -> None:
-        """Fold a shard's detection/crawl accounting into this process's
-        stats and metrics (detection itself ran inside the worker)."""
-        ok = result.store.n_captures - result.failures
-        exhausted = result.faults.exhausted
-        plain_failed = result.failures - exhausted
-        if ok:
-            self._m_crawls.inc(ok, outcome="ok")
-        if plain_failed:
-            self._m_crawls.inc(plain_failed, outcome="failed")
-        if exhausted:
-            self._m_crawls.inc(exhausted, outcome="retries_exhausted")
+    def _absorb_detection(self, result: SocialShardResult) -> None:
+        """Fold a shard's detection accounting into this process's engine
+        (detection itself ran inside the worker)."""
         matches: Dict[str, int] = {}
         if self.obs.enabled:
             for _domain, _ordinal, cmp_key, _vid in result.store.iter_rows():
@@ -1268,10 +1231,3 @@ class NetographPlatform:
         self.engine.absorb(
             result.captures_seen, result.overcounted, matches
         )
-
-
-def _task_size(task: Union[SocialShardTask, SocialShardSpec]) -> int:
-    """Number of crawls a shard payload describes."""
-    if isinstance(task, SocialShardSpec):
-        return sum(len(indices) for _ordinal, indices in task.runs)
-    return len(task.events)

@@ -61,7 +61,7 @@ class SpillSettings:
     #: Rows the active in-memory segment may hold before it spills.
     row_budget: int
     #: Where segment files land; ``None`` allocates a private temporary
-    #: directory per store.
+    #: directory per store on its first spill.
     directory: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -93,11 +93,11 @@ class SpillingCaptureStore:
 
     def __init__(self, settings: SpillSettings):
         self.settings = settings
-        if settings.directory is not None:
-            self._directory = str(settings.directory)
-            Path(self._directory).mkdir(parents=True, exist_ok=True)
-        else:
-            self._directory = tempfile.mkdtemp(prefix="repro-spill-")
+        #: Created on the first spill, so a store that never spills
+        #: leaves nothing on disk.
+        self._directory: Optional[str] = (
+            None if settings.directory is None else str(settings.directory)
+        )
         self._segments: List[_Segment] = []
         self._active = CaptureStore(retain_captures=False)
         self._spilled_rows = 0
@@ -182,6 +182,8 @@ class SpillingCaptureStore:
         active = self._active
         if active.n_rows == 0:
             return
+        if self._directory is None:
+            self._directory = tempfile.mkdtemp(prefix="repro-spill-")
         path = shard_checkpoint_path(self._directory, len(self._segments))
         path.parent.mkdir(parents=True, exist_ok=True)
         save_store(active, path)
@@ -283,16 +285,18 @@ class SpillingCaptureStore:
     def cleanup(self) -> None:
         """Delete the spilled segment files (and the owned directory).
 
-        Not called automatically: shard-result stores cross process
-        boundaries as segment paths, so the files must outlive the
-        store object that wrote them until the parent has merged or
-        persisted them.
+        Shard-result stores cross process boundaries as segment paths,
+        so the files must outlive the store object that wrote them: the
+        platform calls this on each shard store once it has merged (and,
+        when caching, persisted) it. A store's owner cleans up its own.
         """
         for segment in self._segments:
             try:
                 Path(segment.path).unlink()
             except OSError:
                 pass
+        if self._directory is None:
+            return
         try:
             Path(self._directory).rmdir()
         except OSError:

@@ -35,10 +35,9 @@ from repro.crawler.executor import (
     CrawlExecutor,
     ExecutorStats,
     ShardStats,
-    WorldRef,
     partition,
+    publish_world,
     resolve_world,
-    world_ref_for_backend,
 )
 from repro.faults import (
     Clock,
@@ -57,7 +56,7 @@ from repro.net.probe import (
     resolve_toplist,
 )
 from repro.obs import Observability, resolve_obs
-from repro.web.worldgen import World
+from repro.web.worldgen import World, WorldConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (cache uses storage)
     from repro.cache import ArtifactCache, Fingerprint
@@ -137,7 +136,7 @@ class ToplistShardTask:
     """One domain-range shard of the toplist protocol."""
 
     shard_id: int
-    world_ref: WorldRef
+    world_ref: WorldConfig
     #: Probes with a resolved seed URL, in toplist order.
     probes: Tuple[ProbeResult, ...]
     config_names: Tuple[str, ...]
@@ -440,9 +439,7 @@ class ToplistCrawler:
         ) as derive_span:
             n_shards = executor.config.n_shards(len(crawlable))
             chunks = partition(crawlable, n_shards)
-            world_ref = world_ref_for_backend(
-                self.world, executor.config.backend
-            )
+            world_ref = publish_world(self.world)
             config_names = tuple(wanted)
             tasks = [
                 ToplistShardTask(
@@ -478,15 +475,11 @@ class ToplistCrawler:
                         failures=shard_result.failures,
                     )
                     self._h_shard_seconds.observe(secs, pipeline="toplist")
-        # Payload accounting mirrors the social platform: only the
-        # process backend serializes shard payloads.
-        if executor.config.backend == "process":
-            payload_sizes = [
-                len(pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL))
-                for t in tasks
-            ]
-        else:
-            payload_sizes = [0] * len(tasks)
+        # Payload accounting mirrors the social platform.
+        payload_sizes = [
+            len(pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL))
+            for t in tasks
+        ]
         # Merge-duration stat only, not crawl-visible state.
         merge_start = time.perf_counter()  # repro-lint: disable=DET002
         stats = ExecutorStats(

@@ -1,14 +1,15 @@
 """Shard-worker shared-state write detection (RACE001 / RACE002).
 
-``ShardExecutor.map_shards`` runs the worker function under three
-interchangeable backends. Under the thread backend every worker shares
-the interpreter, so a worker that writes a module global or a class
-attribute races its siblings -- and because the serial and process
-backends don't share that state, the three backends can silently
-diverge, breaking the bit-identity guarantee. Today only the
-cross-backend regression tests would catch such a write, and only
-probabilistically; statically it escapes every per-file rule because
-the write looks like ordinary code.
+``CrawlExecutor.map_shards`` runs the worker function under two
+interchangeable backends. Inline (serial) shards share the caller's
+interpreter, so a worker that writes a module global or a class
+attribute leaks state into its siblings and the caller; process-pool
+shards write into their own copy, which the parent never sees. The
+backends can then silently diverge, breaking the bit-identity
+guarantee. Only the cross-backend regression tests would catch such a
+write, and only where their inputs happen to exercise it; statically it
+escapes every per-file rule because the write looks like ordinary
+code.
 
 Phase 2 finds every ``map_shards`` call site, resolves its worker
 argument to a function, computes the set of functions reachable from
@@ -135,8 +136,8 @@ def _race_findings(
             spawner = spawners.get(chain[0], "")
             spawned = f" (spawned by {spawner})" if spawner else ""
             message = (
-                f"worker-reachable {write.via} to {classified[1]}; the "
-                f"thread backend shares this state across shards. Chain "
+                f"worker-reachable {write.via} to {classified[1]}; inline "
+                f"shards share this state, process shards do not. Chain "
                 f"from worker entry{spawned}: {' -> '.join(chain)}"
             )
             yield (index.path, write.line, write.col, message)
@@ -146,10 +147,10 @@ def _race_findings(
 class WorkerGlobalWriteRule(WholeProgramRule):
     """Shard workers must not write module-level state.
 
-    Module globals are shared by every thread-backend worker and
-    invisible to process-backend workers after fork/spawn, so a write
-    from worker-reachable code either races (threads) or silently
-    diverges across backends (processes vs serial). Workers communicate
+    Module globals are shared by every inline (serial) shard and
+    invisible to the parent after a process-pool worker writes them, so
+    a write from worker-reachable code silently diverges across
+    backends (processes vs serial). Workers communicate
     results exclusively through their return values; anything else
     breaks the backend-equivalence guarantee the executor tests pin.
     Idempotent memoization where racing writers store equal values may
@@ -159,13 +160,13 @@ class WorkerGlobalWriteRule(WholeProgramRule):
 
     id = "RACE001"
     summary = (
-        "worker-reachable function writes a module global (shared "
-        "under the thread backend)"
+        "worker-reachable function writes a module global (diverges "
+        "between inline and process-pool shards)"
     )
     example = (
         "_SEEN = {}\n"
         "def crawl_shard(task):      # shipped to map_shards\n"
-        "    _SEEN[task.day] = 1     # races across thread workers"
+        "    _SEEN[task.day] = 1     # lost when the shard runs in a worker"
     )
 
     def check_program(
@@ -180,15 +181,15 @@ class WorkerClassAttributeWriteRule(WholeProgramRule):
 
     A class attribute is one interpreter-wide slot: ``cls.counter += 1``
     or ``self.__class__.cache = ...`` from worker-reachable code is a
-    shared write under the thread backend exactly like a module global,
-    just harder to spot. Keep per-shard state on the task or the
+    backend-dependent write exactly like a module global, just harder
+    to spot. Keep per-shard state on the task or the
     worker's own instances.
     """
 
     id = "RACE002"
     summary = (
-        "worker-reachable function writes a class attribute (shared "
-        "under the thread backend)"
+        "worker-reachable function writes a class attribute (diverges "
+        "between inline and process-pool shards)"
     )
     example = (
         "class Engine:\n"

@@ -12,10 +12,10 @@ hit/miss/eviction counters the observability layer snapshots into the
 Eviction order is pure access order (no wall clock, no randomness):
 ``dict``/``OrderedDict`` iteration order is an explicit language
 guarantee, so a bounded cache evolves identically across runs and
-platforms. Under the thread backend racing workers may interleave
-updates; each mutating step is defensive (a concurrently evicted key
-never raises), and because values are pure regenerable memos the race
-is benign -- results stay byte-identical, only counters may undercount.
+platforms. Threads sharing a cache may interleave updates; each
+mutating step is defensive (a concurrently evicted key never raises),
+and because values are pure regenerable memos the race is benign --
+results stay byte-identical, only counters may undercount.
 """
 
 from __future__ import annotations

@@ -111,7 +111,7 @@ class TestNoScheduleNoChange:
         assert platform.stats.faults.injected == 0
 
     def test_empty_schedule_sharded_matches_too(self, world, baseline):
-        executor = CrawlExecutor(ExecutorConfig(workers=3, backend="thread"))
+        executor = CrawlExecutor(ExecutorConfig(workers=3, backend="process"))
         _, store = run_platform(
             world, faults=FaultSchedule(seed=99), executor=executor
         )
@@ -134,7 +134,7 @@ class TestTransientFaultsAreFree:
         assert store.captures == ref_store.captures
         assert platform.stats.failures == ref_platform.stats.failures
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_sharded_recovery_with_crashes(self, world, baseline, backend):
         platform, store = run_platform(
             world,
@@ -257,7 +257,7 @@ class TestToplistChaos:
         )
         assert result.captures == toplist_baseline.captures
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_sharded_crash_recovery(self, world, toplist_baseline, backend):
         result = self._run(
             world,

@@ -28,16 +28,20 @@ from repro.crawler.columnar import (
     CaptureStore,
     vantage_id,
 )
+from repro.crawler.browser import CrawlProfile
 from repro.crawler.platform import (
     NetographPlatform,
     PlatformConfig,
     _draw_arr,
     _fold64_arr,
+    crawl_batch,
+    crawl_share_event_compact,
 )
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.crawler.storage import store_digest
 from repro.det import KeyedRand, fold64
 from repro.detect.engine import DetectionEngine, hosts_mask
+from repro.faults import FaultTally, VirtualClock
 from repro.net.url import URL
 from repro.web.worldgen import World, WorldConfig
 
@@ -263,6 +267,77 @@ class TestVectorizedKeys:
             rng = KeyedRand(key)
             rng.skip(position - 1)
             assert value == rng.random()
+
+
+# ----------------------------------------------------------------------
+# The crawl kernel's vectorized batch == the per-event compact crawl
+# ----------------------------------------------------------------------
+class TestCrawlKernelParity:
+    """``crawl_batch`` derives keys for a whole batch in numpy and hands
+    each visit its key; the scalar reference derives every key per
+    event. Cutoffs outside the structural bands of ``visit_compact``
+    (1.0, 12.5) take its draw-exact skeleton path, 25.0 the keep-all
+    plan: all must agree row for row."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        world = World(WorldConfig(seed=7, n_domains=1500))
+        stream = SocialShareStream(world, StreamConfig(events_per_day=250))
+        events = [
+            event
+            for offset in range(3)
+            for event in stream.events_for_day(
+                dt.date(2020, 4, 1) + dt.timedelta(days=offset)
+            )
+        ]
+        return world, [(event, i) for i, event in enumerate(events, 1)]
+
+    @pytest.mark.parametrize("cutoff", [1.0, 12.5, 25.0])
+    def test_batch_matches_per_event_compact(self, batch, cutoff):
+        world, pairs = batch
+        config = PlatformConfig(
+            seed=5, profile=CrawlProfile(name="probe", cutoff=cutoff)
+        )
+        store = CaptureStore()
+        counts = crawl_batch(
+            world, config, pairs, store, DetectionEngine(),
+            VirtualClock(), FaultTally(),
+        )
+
+        rows = [
+            crawl_share_event_compact(world, event, config, capture_id)
+            for event, capture_id in pairs
+        ]
+        ordinals = [row.date_ordinal for row in rows]
+        reference = CaptureStore()
+        reference.append_batch(
+            [row.domain for row in rows],
+            ordinals,
+            DetectionEngine().detect_batch([row.mask for row in rows], ordinals),
+            [row.vantage_id for row in rows],
+            [row.n_requests for row in rows],
+        )
+        assert store_digest(store) == store_digest(reference)
+        assert store.total_requests == reference.total_requests
+        assert counts.ok == sum(row.succeeded for row in rows)
+        assert counts.crawls == len(pairs)
+        assert counts.exhausted == 0
+
+    def test_cutoffs_change_the_kept_requests(self, batch):
+        # Guards the parity test above against a cutoff that is ignored.
+        world, pairs = batch
+        totals = []
+        for cutoff in (1.0, 25.0):
+            store = CaptureStore()
+            crawl_batch(
+                world,
+                PlatformConfig(
+                    seed=5, profile=CrawlProfile(name="probe", cutoff=cutoff)
+                ),
+                pairs, store, DetectionEngine(), VirtualClock(), FaultTally(),
+            )
+            totals.append(store.total_requests)
+        assert totals[0] < totals[1]
 
 
 # ----------------------------------------------------------------------

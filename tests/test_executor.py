@@ -8,6 +8,8 @@ figure.
 """
 
 import datetime as dt
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,8 @@ from repro.crawler.platform import (
 )
 from repro.crawler.capture import EU_CLOUD, US_CLOUD, Observation
 from repro.crawler.seeds import SocialShareStream, StreamConfig
+from repro.crawler.spill import SpillingCaptureStore
+from repro.crawler.storage import store_digest
 from repro.crawler.toplist_crawl import ToplistCrawler
 
 START = dt.date(2020, 4, 1)
@@ -62,9 +66,9 @@ def serial_run(study):
 
 
 class TestDeterminism:
-    """Serial == threads == processes, observation for observation."""
+    """Serial == processes, observation for observation."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_matches_serial(self, study, serial_run, backend):
         serial_platform, serial_store = serial_run
         executor = CrawlExecutor(ExecutorConfig(workers=4, backend=backend))
@@ -94,11 +98,11 @@ class TestDeterminism:
         assert platform.stats.executor is None
 
     def test_executor_stats_populated(self, study, serial_run):
-        executor = CrawlExecutor(ExecutorConfig(workers=4, backend="thread"))
+        executor = CrawlExecutor(ExecutorConfig(workers=4, backend="process"))
         platform, store = _run(study, executor=executor)
         stats = platform.stats.executor
         assert stats is not None
-        assert stats.backend == "thread"
+        assert stats.backend == "process"
         assert stats.workers == 4
         assert 1 <= stats.n_shards <= 4 * executor.config.shards_per_worker
         assert stats.crawls == platform.stats.crawls == store.n_captures
@@ -109,7 +113,7 @@ class TestDeterminism:
         assert all(s.seconds >= 0 for s in stats.shards)
 
     def test_store_continuation_across_parallel_runs(self, study):
-        executor = CrawlExecutor(ExecutorConfig(workers=2, backend="thread"))
+        executor = CrawlExecutor(ExecutorConfig(workers=2, backend="process"))
         platform = _fresh_platform(study)
         store = platform.run(START, dt.date(2020, 4, 3), executor=executor)
         n_first = store.n_captures
@@ -133,6 +137,48 @@ class TestDeterminism:
         assert _keys(short) == _keys(long)[:n]
 
 
+class TestShardKernel:
+    """Shard workers crawl each day through the serial loop's batch
+    kernel: process x2 stores are digest-equal to the serial store, with
+    and without a spill budget, and no worker spill directory outlives
+    the merge."""
+
+    BASE = dict(
+        seed=7, n_domains=1_000, toplist_size=100, events_per_day=80,
+        study_start=dt.date(2020, 4, 1), study_end=dt.date(2020, 4, 6),
+    )
+
+    @pytest.fixture(scope="class")
+    def serial_digest(self):
+        return store_digest(Study(StudyConfig(**self.BASE)).run_social_crawl())
+
+    @pytest.mark.parametrize("memory_budget", [None, 10])
+    def test_process_digest_matches_serial(self, serial_digest, memory_budget):
+        study = Study(
+            StudyConfig(**self.BASE, parallelism=2, memory_budget=memory_budget)
+        )
+        store = study.run_social_crawl()
+        try:
+            assert study.last_crawl_stats.executor.n_shards > 1
+            assert store_digest(store) == serial_digest
+        finally:
+            if isinstance(store, SpillingCaptureStore):
+                store.cleanup()
+
+    def test_no_worker_spill_dirs_left(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        study = Study(StudyConfig(**self.BASE, parallelism=2, memory_budget=10))
+        store = study.run_social_crawl()
+        assert isinstance(store, SpillingCaptureStore)
+        # Only the parent's own store may still hold a spill directory.
+        own = {Path(path).parent.name for path in store.segment_paths()}
+        left = {path.name for path in tmp_path.glob("repro-spill-*")}
+        assert left == own
+        store.cleanup()
+        assert list(tmp_path.glob("repro-spill-*")) == []
+
+
 class TestToplistExecutor:
     @pytest.fixture(scope="class")
     def domains(self, study):
@@ -141,7 +187,7 @@ class TestToplistExecutor:
     def test_parallel_matches_serial(self, study, domains):
         configs = ("us-cloud", "eu-univ-default")
         serial = ToplistCrawler(study.world).run(domains, MAY, configs)
-        executor = CrawlExecutor(ExecutorConfig(workers=4, backend="thread"))
+        executor = CrawlExecutor(ExecutorConfig(workers=4, backend="process"))
         parallel = ToplistCrawler(study.world).run(
             domains, MAY, configs, executor=executor
         )
@@ -261,16 +307,17 @@ class TestExecutorConfig:
         with pytest.raises(ValueError):
             ExecutorConfig(backend="quantum")
         with pytest.raises(ValueError):
+            ExecutorConfig(backend="thread")
+        with pytest.raises(ValueError):
             ExecutorConfig(shards_per_worker=0)
 
     def test_parallel_property(self):
         assert not ExecutorConfig(workers=1).parallel
         assert not ExecutorConfig(workers=8, backend="serial").parallel
-        assert ExecutorConfig(workers=2, backend="thread").parallel
         assert ExecutorConfig(workers=2, backend="process").parallel
 
     def test_n_shards(self):
-        config = ExecutorConfig(workers=4, backend="thread",
+        config = ExecutorConfig(workers=4, backend="process",
                                 shards_per_worker=4)
         assert config.n_shards(1000) == 16
         assert config.n_shards(5) == 5
@@ -284,7 +331,7 @@ class TestStudyWiring:
                     events_per_day=80)
         serial = Study(StudyConfig(**base))
         parallel = Study(
-            StudyConfig(**base, parallelism=3, backend="thread")
+            StudyConfig(**base, parallelism=3, backend="process")
         )
         window = (dt.date(2020, 4, 1), dt.date(2020, 4, 5))
         s_store = serial.run_social_crawl(*window)
@@ -292,6 +339,19 @@ class TestStudyWiring:
         assert _keys(p_store) == _keys(s_store)
         assert parallel.last_crawl_stats.executor is not None
         assert serial.last_crawl_stats.executor is None
+
+    @pytest.mark.parametrize("parallelism", [0, -1])
+    def test_nonpositive_parallelism_rejected(self, parallelism):
+        with pytest.raises(ValueError, match="parallelism must be >= 1"):
+            StudyConfig(parallelism=parallelism)
+
+    def test_unknown_backend_rejected_at_config_time(self):
+        # Rejected when the config is built, not when a pool would be;
+        # the message names the backends that remain.
+        with pytest.raises(ValueError, match="serial, process"):
+            StudyConfig(backend="thread")
+        assert StudyConfig().backend == "process"
+        assert StudyConfig(backend="serial", parallelism=4).backend == "serial"
 
     def test_executor_property(self):
         assert Study(StudyConfig(n_domains=1_000)).executor is None

@@ -38,7 +38,7 @@ class TestDeadWorld:
 
     @pytest.mark.parametrize(
         "backend,workers",
-        [("serial", 1), ("thread", 3), ("process", 2)],
+        [("serial", 1), ("process", 3), ("process", 2)],
     )
     def test_platform_survives(self, dead_world, backend, workers):
         # Hostile conditions must not crash any executor backend; the

@@ -299,7 +299,7 @@ class TestFaultedAndBackendParity:
     def test_faulted_serial_parity(self, serial_run):
         self.assert_query_parity(*serial_run)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_faulted_parallel_backend_parity(self, serial_run, backend):
         _, serial_store = serial_run
         study = Study(

@@ -470,12 +470,10 @@ class TestRealTreeMutation:
         formatted = "\n".join(f.format() for f in result.findings)
         assert result.clean, f"stale cache lock:\n{formatted}"
 
-    def test_editing_platform_without_bump_fails_guard(self, tmp_path):
+    def assert_mutation_fails_guard(self, tmp_path, module):
         clone = copy_repo_tree(tmp_path)
-        platform = clone / "src" / "repro" / "crawler" / "platform.py"
-        platform.write_text(
-            platform.read_text() + "\n\n_MUTATION_PROBE = 1\n"
-        )
+        path = clone / "src" / Path(*module.split(".")).with_suffix(".py")
+        path.write_text(path.read_text() + "\n\n_MUTATION_PROBE = 1\n")
         result = lint_paths(
             [clone / "src"],
             LintConfig(select=frozenset({"CACHE"})),
@@ -485,10 +483,17 @@ class TestRealTreeMutation:
         assert cache001, "mutation escaped the staleness guard"
         # The finding names the stage and the changed module.
         assert any(
-            "social-crawl" in f.message
-            and "repro.crawler.platform" in f.message
+            "social-crawl" in f.message and module in f.message
             for f in cache001
         )
+
+    def test_editing_platform_without_bump_fails_guard(self, tmp_path):
+        self.assert_mutation_fails_guard(tmp_path, "repro.crawler.platform")
+
+    def test_editing_serving_without_bump_fails_guard(self, tmp_path):
+        # The visit renderer decides every crawl's output, so it sits in
+        # the social-crawl closure even though platform only imports it.
+        self.assert_mutation_fails_guard(tmp_path, "repro.web.serving")
 
 
 # ---------------------------------------------------------------------------

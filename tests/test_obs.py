@@ -204,7 +204,7 @@ class TestInstrumentedPlatform:
         serial_obs = Observability()
         _, serial_store = run_platform(world, obs=serial_obs)
         parallel_obs = Observability()
-        executor = CrawlExecutor(ExecutorConfig(workers=4, backend="thread"))
+        executor = CrawlExecutor(ExecutorConfig(workers=4, backend="process"))
         _, parallel_store = run_platform(
             world, obs=parallel_obs, executor=executor
         )
@@ -224,7 +224,7 @@ class TestInstrumentedPlatform:
 
     def test_parallel_run_emits_executor_spans(self, world):
         obs = Observability()
-        executor = CrawlExecutor(ExecutorConfig(workers=4, backend="thread"))
+        executor = CrawlExecutor(ExecutorConfig(workers=4, backend="process"))
         platform, _ = run_platform(world, obs=obs, executor=executor)
         records = obs.tracer.export_records()
         by_name = {}
@@ -272,7 +272,7 @@ class TestInstrumentedToplist:
         assert "toplist.run" in span_names and "toplist.probe" in span_names
 
         sharded_obs = Observability()
-        executor = CrawlExecutor(ExecutorConfig(workers=3, backend="thread"))
+        executor = CrawlExecutor(ExecutorConfig(workers=3, backend="process"))
         sharded = ToplistCrawler(study.world, obs=sharded_obs).run(
             domains, MAY, executor=executor
         )

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import Study, StudyConfig
 from repro.crawler.columnar import CaptureStore
-from repro.crawler.executor import world_ref_for_backend
+from repro.crawler.executor import publish_world
 from repro.crawler.platform import (
     NetographPlatform,
     PlatformConfig,
@@ -184,7 +184,7 @@ class TestBoundedWorldBitIdentity:
 class TestSpillBitIdentity:
     @pytest.mark.parametrize(
         "backend,parallelism",
-        [("serial", 1), ("thread", 3), ("process", 2)],
+        [("serial", 1), ("process", 3), ("process", 2)],
     )
     def test_spill_digest_matches_plain(self, backend, parallelism):
         plain = Study(
@@ -460,7 +460,7 @@ class TestLazyShardEquality:
             runs.append((day.toordinal(), indices))
         return SocialShardSpec(
             shard_id=0,
-            world_ref=world_ref_for_backend(world, "serial"),
+            world_ref=publish_world(world),
             config=PlatformConfig(),
             stream_config=stream.config,
             runs=tuple(runs),

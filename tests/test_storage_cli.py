@@ -295,3 +295,16 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["frobnicate"])
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_nonpositive_workers_is_a_usage_error(self, workers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--domains", "1000", "--workers", workers, "figure5"])
+        assert exc.value.code == 2
+        assert "parallelism must be >= 1" in capsys.readouterr().err
+
+    def test_backend_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--backend=process", "figure5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
