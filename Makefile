@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: verify test lint cache-guard chaos fidelity coverage smoke-streaming bench-throughput bench-baseline bench-obs bench-lint bench-lint-floor bench-faults bench-cache bench-streaming bench-streaming-baseline bench-graph bench-graph-baseline bench-scale bench-scale-baseline
+.PHONY: verify test lint cache-guard chaos fidelity perfbench-test coverage smoke-streaming bench-throughput bench-baseline bench-obs bench-lint bench-lint-floor bench-faults bench-cache bench-streaming bench-streaming-baseline bench-graph bench-graph-baseline bench-scale bench-scale-baseline
 
 ## Tier-1 tests + determinism lint + a ~10s smoke run of the executor.
 verify:
@@ -32,6 +32,12 @@ chaos:
 ## disabled, so this is a correctness gate, not a perf run).
 fidelity:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable
+
+## The benchmark harness's own tests: tracer self time, metric names
+## against BENCHMARK.json, pinned output checks, leftover-file
+## counting and steadiness verdicts (a few seconds).
+perfbench-test:
+	PYTHONPATH=src $(PYTHON) -m pytest perfbench -q
 
 ## Statement-coverage gate: repro.graph must stay >= 90% covered.
 ## Uses pytest-cov when installed (also enforces the repo-wide

@@ -119,6 +119,7 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.crawler.spill",
         "repro.det",
         "repro.detect.engine",
+        "repro.web.adoption",
         "repro.web.lru",
         "repro.web.serving",
         "repro.web.worldgen",
@@ -128,6 +129,8 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.crawler.toplist_crawl",
         "repro.net.http",
         "repro.net.probe",
+        "repro.web.adoption",
+        "repro.web.worldgen",
     ],
     "adoption": [
         "repro.core.adoption",
@@ -135,11 +138,19 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
     ],
     "vantage": [
         "repro.core.vantage",
+        "repro.crawler.browser",
         "repro.crawler.toplist_crawl",
+        "repro.det",
+        "repro.detect.engine",
+        "repro.web.adoption",
+        "repro.web.serving",
+        "repro.web.worldgen",
     ],
     "marketshare": [
         "repro.core.marketshare",
         "repro.toplist.tranco",
+        "repro.web.adoption",
+        "repro.web.worldgen",
     ],
     "stream-checkpoint": [
         "repro.stream.engine",
@@ -152,6 +163,7 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.toplist.tranco",
         "repro.crawler.columnar",
         "repro.tcf.gvl",
+        "repro.web.adoption",
         "repro.web.lru",
         "repro.web.worldgen",
     ],

@@ -265,15 +265,22 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _cmd_crawl(study: Study, args) -> int:
+    from repro.crawler.spill import SpillingCaptureStore
     from repro.crawler.storage import save_store
 
     end = args.start + dt.timedelta(days=args.days)
     print(f"crawling {args.start} .. {end} "
           f"({args.events_per_day} URL shares/day)...")
     store = study.run_social_crawl(args.start, end)
-    n = save_store(store, args.out)
-    print(f"{n:,} observations ({store.unique_domains:,} domains) "
-          f"written to {args.out}")
+    try:
+        n = save_store(store, args.out)
+        print(f"{n:,} observations ({store.unique_domains:,} domains) "
+              f"written to {args.out}")
+    finally:
+        # Under --memory-budget the store spills to $TMPDIR; the JSONL
+        # is the output, so its segments go once it is written.
+        if isinstance(store, SpillingCaptureStore):
+            store.cleanup()
     stats = study.last_crawl_stats
     if stats is not None and stats.executor is not None:
         print(f"executor: {stats.executor.summary()}")

@@ -40,7 +40,7 @@ def cmp_counts(
     limit = max_rank if max_rank is not None else world.n_domains
     counts: Counter = Counter()
     for rank in range(1, limit + 1):
-        key = world.site(rank).cmp_on(date)
+        key = world.cmp_on(rank, date)
         if key is not None:
             counts[key] += 1
     return counts
@@ -52,13 +52,24 @@ def hhi_series(
     *,
     max_rank: int = 10_000,
 ) -> List[Tuple[dt.date, float]]:
-    """The CMP market's HHI over time (empty markets are skipped)."""
-    out: List[Tuple[dt.date, float]] = []
-    for date in dates:
-        counts = cmp_counts(world, date, max_rank=max_rank)
-        if counts:
-            out.append((date, hhi(counts)))
-    return out
+    """The CMP market's HHI over time (empty markets are skipped).
+
+    Each rank's history is read once and evaluated on every date, so
+    the per-date counts match :func:`cmp_counts` (same rank order)
+    without re-seeding an uncached site once per date.
+    """
+    per_date: List[Counter] = [Counter() for _ in dates]
+    for rank in range(1, max_rank + 1):
+        history = world.cmp_history(rank)
+        if not history.stints:
+            continue
+        for counts, date in zip(per_date, dates):
+            key = history.cmp_on(date)
+            if key is not None:
+                counts[key] += 1
+    return [
+        (date, hhi(counts)) for date, counts in zip(dates, per_date) if counts
+    ]
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ paper plots this cumulatively over sizes from 100 to one million,
 showing the mid-market adoption hump (4% in the top 100, 13% in the top
 1k, 1.51% in the top 1M -- Section 5.1).
 
-Toplist prefixes up to ``exact_limit`` are evaluated exactly (every site
-is generated); deeper strata are estimated by uniform sampling within
+Toplist prefixes up to ``exact_limit`` are evaluated exactly (every rank
+is read); deeper strata are estimated by uniform sampling within
 log-spaced rank strata, which keeps million-rank curves tractable while
-remaining unbiased.
+remaining unbiased. Ranks are read through the world's RNG-prefix
+reader (:meth:`~repro.web.worldgen.World.cmp_on`): the curve needs only
+each site's ground-truth CMP, not the generated site.
 """
 
 from __future__ import annotations
@@ -157,14 +159,14 @@ def marketshare_by_toplist_size(
         stratum = tranco.top_true_ranks(size)[prev:]
         if size <= exact_limit or len(stratum) <= samples_per_stratum:
             for true_rank in stratum.tolist():
-                cmp_key = world.site(int(true_rank)).cmp_on(date)
+                cmp_key = world.cmp_on(int(true_rank), date)
                 if cmp_key is not None:
                     cum[cmp_key] += 1
         else:
             sampled = rng.sample(range(len(stratum)), samples_per_stratum)
             stratum_counts: Counter = Counter()
             for idx in sampled:
-                cmp_key = world.site(int(stratum[idx])).cmp_on(date)
+                cmp_key = world.cmp_on(int(stratum[idx]), date)
                 if cmp_key is not None:
                     stratum_counts[cmp_key] += 1
             scale = len(stratum) / samples_per_stratum

@@ -284,7 +284,16 @@ class CaptureStore:
         through a translation table built once per merge. Merging shard
         segments in shard order therefore reproduces the serial
         insertion order exactly.
+
+        *other* may also be a spilling store
+        (:class:`~repro.crawler.spill.SpillingCaptureStore`, e.g. a
+        shard store under a memory budget); it is consumed one segment
+        at a time, in spill order.
         """
+        if not isinstance(other, CaptureStore):
+            for segment in other.iter_segment_stores():
+                self.merge(segment)
+            return
         dom_map = [self._domain_id(d) for d in other._domains]
         if dom_map == list(range(len(dom_map))):
             # Identity remap (e.g. merging into an empty store):

@@ -906,28 +906,26 @@ class NetographPlatform:
                     return cached
                 store.merge(cached)
                 return store
-            self._last_shard_stores = None
-            fresh = self._run_cold(start, end, None, on_day, executor)
+        # Shard stores, and a fresh store that is not handed back, are
+        # released on every exit, a failed merge included, so no spill
+        # directory outlives the run.
+        discard: Optional[CaptureStore] = None
+        try:
+            if not caching:
+                return self._run_cold(start, end, store, on_day, executor)
+            fresh = discard = self._run_cold(start, end, None, on_day, executor)
             cache.save_capture_store(
                 fingerprint, self._last_shard_stores or fresh
             )
-            self._release_shard_stores()
             if store is None:
+                discard = None
                 return fresh
-            if isinstance(fresh, SpillingCaptureStore) and not isinstance(
-                store, SpillingCaptureStore
-            ):
-                # A plain store can only concatenate in-memory columns;
-                # fold the spilled run back together first (O(rows),
-                # but this path means the caller asked for a resident
-                # continuation store anyway).
-                store.merge(fresh.fold_in())
-            else:
-                store.merge(fresh)
+            store.merge(fresh)
             return store
-        store = self._run_cold(start, end, store, on_day, executor)
-        self._release_shard_stores()
-        return store
+        finally:
+            self._release_shard_stores()
+            if isinstance(discard, SpillingCaptureStore):
+                discard.cleanup()
 
     def ingest_day(self, day: dt.date, store: CaptureStore) -> CaptureStore:
         """Crawl one stream day into *store* (the streaming entry point).

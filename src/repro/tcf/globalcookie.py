@@ -153,7 +153,7 @@ def shared_consent_reach(
     limit = max_rank if max_rank is not None else world.n_domains
     reach: Dict[str, int] = {}
     for rank in range(1, limit + 1):
-        key = world.site(rank).cmp_on(date)
+        key = world.cmp_on(rank, date)
         if key is not None:
             reach[key] = reach.get(key, 0) + 1
     return reach

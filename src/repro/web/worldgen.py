@@ -8,6 +8,23 @@ what makes million-rank analyses tractable -- the marketshare analysis
 can sample ranks stratified in log space instead of materializing the
 whole world.
 
+A site can be read at two depths, and both replay the same per-site
+RNG (seeded ``f"{seed}:site:{rank}"``):
+
+* **The RNG prefix** -- :meth:`World.cmp_history` / :meth:`World.cmp_on`.
+  Only the class roll, the TLD roll and the adoption history are drawn,
+  which is all the ground-truth CMP of a rank depends on. For readers
+  that need nothing else (the Figure 5 marketshare curve, CMP counts
+  and HHI, the shared-consent reach). The prefix neither reads nor
+  fills the site cache.
+* **The full site** -- :meth:`World.site` generates (and caches) the
+  whole :class:`~repro.web.website.Website`: domain, dialogs, geo
+  traits, share weight, subsites. For everything else.
+
+:meth:`World._generate` and :meth:`World._class_of` start from the same
+prefix code (:meth:`World._site_rng`, :meth:`World._prefix`), so the
+RNG sequence is written once and the two depths agree by construction.
+
 The world also implements the :class:`~repro.net.probe.ReachabilityOracle`
 protocol, so the toplist seed-URL resolution runs against it unchanged.
 """
@@ -22,7 +39,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from repro.cmps import onetrust, quantcast, trustarc, cookiebot, liveramp, crownpeak
 from repro.cmps.base import DialogDescriptor, cmp_by_key
-from repro.web.adoption import AdoptionModel
+from repro.web.adoption import AdoptionHistory, AdoptionModel
 from repro.web.lru import MISSING, BoundedLRU
 from repro.web.website import CmpEpisode, Website
 
@@ -87,6 +104,10 @@ _WORDS2 = (
 )
 
 _B36 = string.digits + string.ascii_lowercase
+
+#: The CMP history of every site outside the "normal" class.
+_NO_HISTORY = AdoptionHistory(stints=())
+
 
 
 def _b36(n: int) -> str:
@@ -242,6 +263,23 @@ class World:
         self._domain_to_rank[site.domain] = rank
         return site
 
+    def cmp_history(self, rank: int) -> AdoptionHistory:
+        """The CMP stints of the site at *rank*, without generating it.
+
+        Replays only the RNG prefix and never touches the site cache.
+        Equal to ``site(rank).episodes`` as ``(cmp_key, start, end)``
+        triples.
+        """
+        if not 1 <= rank <= self.config.n_domains:
+            raise KeyError(f"rank {rank} outside [1, {self.config.n_domains}]")
+        _, _, _, history = self._prefix(rank)
+        return history
+
+    def cmp_on(self, rank: int, date: dt.date) -> Optional[str]:
+        """The key of the CMP the site at *rank* uses on *date*, if any
+        (``site(rank).cmp_on(date)`` from the RNG prefix)."""
+        return self.cmp_history(rank).cmp_on(date)
+
     def sites(self, ranks) -> Iterator[Website]:
         for rank in ranks:
             yield self.site(rank)
@@ -330,10 +368,32 @@ class World:
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
-    def _generate(self, rank: int) -> Website:
-        rng = random.Random(f"{self.config.seed}:site:{rank}")
+    def _site_rng(self, rank: int) -> random.Random:
+        """The per-site RNG, before its first draw (the class roll)."""
+        return random.Random(f"{self.config.seed}:site:{rank}")
+
+    def _prefix(
+        self, rank: int
+    ) -> Tuple[random.Random, str, float, AdoptionHistory]:
+        """Replay the start of the per-site RNG: the class roll, the TLD
+        roll and, for normal sites, the adoption history, as
+        ``(rng, site_class, tld_roll, history)``.
+
+        :meth:`cmp_history` stops here and :meth:`_generate` continues
+        from the returned RNG. A plain tuple, not a named one: this runs
+        once per generated site and per prefix read, and a named tuple
+        is several times dearer to build.
+        """
+        rng = self._site_rng(rank)
         site_class = self._site_class(rng, rank)
-        tld_rng_roll = rng.random()
+        tld_roll = rng.random()
+        history = _NO_HISTORY
+        if site_class == "normal":
+            history = self._adoption.sample_history(rng, rank)
+        return rng, site_class, tld_roll, history
+
+    def _generate(self, rank: int) -> Website:
+        rng, site_class, tld_rng_roll, history = self._prefix(rank)
 
         if site_class == "infrastructure":
             return Website(
@@ -376,7 +436,6 @@ class World:
             )
 
         # -- a normal, user-facing site --------------------------------
-        history = self._adoption.sample_history(rng, rank)
         episodes = tuple(
             CmpEpisode(
                 cmp_key=key,
@@ -444,8 +503,7 @@ class World:
 
     def _class_of(self, rank: int) -> str:
         """Re-derive a rank's site class without generating the site."""
-        rng = random.Random(f"{self.config.seed}:site:{rank}")
-        return self._site_class(rng, rank)
+        return self._site_class(self._site_rng(rank), rank)
 
     def _alias_target(self, rng: random.Random, rank: int) -> int:
         # Aliases redirect to a *normal* site of broadly similar

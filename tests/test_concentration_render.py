@@ -14,6 +14,7 @@ from repro.core.concentration import (
     hhi_series,
     jurisdiction_report,
 )
+from repro.web.worldgen import World, WorldConfig
 
 MAY = dt.date(2020, 5, 15)
 
@@ -121,3 +122,30 @@ class TestRenderDialog:
         lines = render_dialog(d).splitlines()
         widths = {len(line) for line in lines if line.startswith(("|", "+"))}
         assert len(widths) == 1
+
+
+class TestHhiSeriesPins:
+    """``hhi_series`` reads each rank's history once for all dates; the
+    values are pinned to those of the per-date ``cmp_counts`` loop it
+    replaced, float for float."""
+
+    DATES = [
+        dt.date(2010, 1, 1),  # before any adoption: skipped
+        dt.date(2018, 3, 1),
+        dt.date(2018, 7, 1),
+        dt.date(2019, 7, 1),
+        dt.date(2020, 7, 1),
+    ]
+    PINS = {
+        3: [0.29591836734693877, 0.32569898869720404,
+            0.2987110264973003, 0.33360168525003686],
+        7: [0.2916666666666667, 0.26435555555555557,
+            0.2746448979591836, 0.32447966218769964],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINS))
+    def test_pinned_values(self, seed):
+        world = World(WorldConfig(seed=seed, n_domains=2_000))
+        series = hhi_series(world, self.DATES, max_rank=2_000)
+        assert series == list(zip(self.DATES[1:], self.PINS[seed]))
+        assert len(world._cache) == 0

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.adoption import DomainTimeline
 from repro.core.gvl_analysis import GvlAnalysis
+from repro.core.pipeline import Study, StudyConfig
 from repro.core.marketshare import (
     default_sizes,
     marketshare_by_toplist_size,
@@ -69,6 +70,19 @@ class TestMarketshare:
         curve = study.marketshare_curve(MAY)
         lo, hi = peak_band(curve)
         assert lo >= 50 and hi <= 10_000
+
+    def test_fresh_world_cache_untouched(self):
+        """The curve reads ground-truth CMPs from the RNG prefix, so
+        neither the exact nor the sampled strata fill the site cache."""
+        study = Study(StudyConfig(seed=11, n_domains=3_000))
+        tranco = study.tranco
+        before = len(study.world._cache)
+        curve = marketshare_by_toplist_size(
+            study.world, tranco, MAY, exact_limit=500,
+            samples_per_stratum=300,
+        )
+        assert curve.total_share(3_000) > 0
+        assert len(study.world._cache) == before
 
     def test_bad_sizes_rejected(self, study):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cache import ArtifactCache, Fingerprint
 from repro.core.pipeline import Study, StudyConfig
 from repro.crawler.executor import (
     CrawlExecutor,
@@ -27,7 +28,7 @@ from repro.crawler.platform import (
 )
 from repro.crawler.capture import EU_CLOUD, US_CLOUD, Observation
 from repro.crawler.seeds import SocialShareStream, StreamConfig
-from repro.crawler.spill import SpillingCaptureStore
+from repro.crawler.spill import SpillingCaptureStore, SpillSettings
 from repro.crawler.storage import store_digest
 from repro.crawler.toplist_crawl import ToplistCrawler
 
@@ -177,6 +178,72 @@ class TestShardKernel:
         assert left == own
         store.cleanup()
         assert list(tmp_path.glob("repro-spill-*")) == []
+
+
+class TestShardedContinuation:
+    """Continuing a plain store on a sharded run whose shard stores
+    spill: the shard segments are merged in order (digest equal to the
+    serial run) and every worker spill dir is released, also when the
+    merge raises."""
+
+    DAYS = (dt.date(2020, 4, 1), dt.date(2020, 4, 4))
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return Study(StudyConfig(seed=7, n_domains=1_000)).world
+
+    def _platform(self, world, spill):
+        return NetographPlatform(
+            world,
+            stream=SocialShareStream(
+                world, StreamConfig(seed=11, events_per_day=100)
+            ),
+            config=PlatformConfig(seed=23, spill=spill),
+        )
+
+    def _run(self, world, tmp_path, monkeypatch, cache=None):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        platform = self._platform(world, SpillSettings(row_budget=10))
+        executor = CrawlExecutor(ExecutorConfig(workers=2, backend="process"))
+        fingerprint = None
+        if cache is not None:
+            fingerprint = Fingerprint.build("social-crawl", ("continuation",))
+        return platform.run(
+            *self.DAYS, store=CaptureStore(), executor=executor,
+            cache=cache, fingerprint=fingerprint,
+        )
+
+    def test_digest_matches_serial_and_no_dir_left(
+        self, world, tmp_path, monkeypatch
+    ):
+        serial = self._platform(world, None).run(*self.DAYS)
+        store = self._run(world, tmp_path, monkeypatch)
+        assert isinstance(store, CaptureStore)
+        assert store_digest(store) == store_digest(serial)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cached_run_leaves_no_dir(self, world, tmp_path, monkeypatch):
+        # The populating run merges its own spilling store into the
+        # continuation store; that store is released too.
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
+        cache = ArtifactCache(tmp_path / "cache")
+        serial = self._platform(world, None).run(*self.DAYS)
+        store = self._run(world, spill_dir, monkeypatch, cache=cache)
+        assert store_digest(store) == store_digest(serial)
+        assert list(spill_dir.iterdir()) == []
+        warm = self._run(world, spill_dir, monkeypatch, cache=cache)
+        assert store_digest(warm) == store_digest(serial)
+
+    def test_failed_merge_leaves_no_dir(self, world, tmp_path, monkeypatch):
+        def boom(self, other):
+            raise RuntimeError("merge failed")
+
+        monkeypatch.setattr(CaptureStore, "merge", boom)
+        with pytest.raises(RuntimeError, match="merge failed"):
+            self._run(world, tmp_path, monkeypatch)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestToplistExecutor:

@@ -470,7 +470,9 @@ class TestRealTreeMutation:
         formatted = "\n".join(f.format() for f in result.findings)
         assert result.clean, f"stale cache lock:\n{formatted}"
 
-    def assert_mutation_fails_guard(self, tmp_path, module):
+    def assert_mutation_fails_guard(
+        self, tmp_path, module, stages=("social-crawl",)
+    ):
         clone = copy_repo_tree(tmp_path)
         path = clone / "src" / Path(*module.split(".")).with_suffix(".py")
         path.write_text(path.read_text() + "\n\n_MUTATION_PROBE = 1\n")
@@ -481,11 +483,12 @@ class TestRealTreeMutation:
         )
         cache001 = [f for f in result.findings if f.rule == "CACHE001"]
         assert cache001, "mutation escaped the staleness guard"
-        # The finding names the stage and the changed module.
-        assert any(
-            "social-crawl" in f.message and module in f.message
-            for f in cache001
-        )
+        # A finding names each stage and the changed module.
+        for stage in stages:
+            assert any(
+                stage in f.message and module in f.message
+                for f in cache001
+            ), f"no CACHE001 finding for stage {stage!r}"
 
     def test_editing_platform_without_bump_fails_guard(self, tmp_path):
         self.assert_mutation_fails_guard(tmp_path, "repro.crawler.platform")
@@ -494,6 +497,16 @@ class TestRealTreeMutation:
         # The visit renderer decides every crawl's output, so it sits in
         # the social-crawl closure even though platform only imports it.
         self.assert_mutation_fails_guard(tmp_path, "repro.web.serving")
+
+    def test_editing_adoption_without_bump_fails_guard(self, tmp_path):
+        # Every ground-truth CMP history comes from the adoption model,
+        # so the Figure 5 curve goes stale when it changes -- and so do
+        # the toplist probes, whose reachability the site RNG draws only
+        # after the history.
+        self.assert_mutation_fails_guard(
+            tmp_path, "repro.web.adoption",
+            stages=("marketshare", "toplist-probes"),
+        )
 
 
 # ---------------------------------------------------------------------------

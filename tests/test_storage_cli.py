@@ -292,6 +292,26 @@ class TestCli:
         rc = cli_main(["--domains", "1000", "figure6", "--in", path])
         assert rc == 0
 
+    def test_spilling_crawl_leaves_no_spill_dir(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A budgeted parallel crawl removes its own spill segments once
+        the JSONL is written; the worker dirs go after the merge."""
+        spill_root = tmp_path / "tmp"
+        spill_root.mkdir()
+        monkeypatch.setenv("TMPDIR", str(spill_root))
+        monkeypatch.setattr(tempfile, "tempdir", str(spill_root))
+        path = tmp_path / "obs.jsonl"
+        rc = cli_main(
+            ["--domains", "1000", "--workers", "2", "--memory-budget", "300",
+             "crawl", "--days", "5", "--start", "2020-04-01",
+             "--events-per-day", "200", "--out", str(path)]
+        )
+        assert rc == 0
+        assert "executor:" in capsys.readouterr().out
+        assert len(load_store(path).observations) > 300
+        assert list(spill_root.iterdir()) == []
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["frobnicate"])

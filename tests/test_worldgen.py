@@ -147,3 +147,59 @@ class TestGeoTraits:
         assert qc_n > 20 and ot_n > 20
         # Quantcast customers skew EU (38.3% vs 16.3% in the paper).
         assert qc_eu / qc_n > ot_eu / ot_n
+
+
+class TestPrefixReader:
+    """``cmp_history``/``cmp_on`` replay only the RNG prefix that decides
+    a site's CMPs, and agree with the generated site whether or not it
+    is cached."""
+
+    N = 1_000
+
+    @staticmethod
+    def _dates(site):
+        dates = [dt.date(2018, 1, 1) + dt.timedelta(days=45 * i) for i in range(24)]
+        for ep in site.episodes:
+            dates += [ep.start, ep.start - dt.timedelta(days=1)]
+            if ep.end is not None:
+                dates += [ep.end, ep.end - dt.timedelta(days=1)]
+        return dates
+
+    def _assert_agrees(self, world, rank, site):
+        history = world.cmp_history(rank)
+        assert history.stints == tuple(
+            (ep.cmp_key, ep.start, ep.end) for ep in site.episodes
+        )
+        for date in self._dates(site):
+            assert world.cmp_on(rank, date) == site.cmp_on(date)
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_agrees_before_and_after_generation(self, seed):
+        ranks = range(1, self.N + 1)
+        reference = World(WorldConfig(seed=seed, n_domains=self.N))
+        sites = {rank: reference.site(rank) for rank in ranks}
+        world = World(WorldConfig(seed=seed, n_domains=self.N))
+        # Nothing generated yet: every read replays the RNG prefix.
+        for rank in ranks:
+            self._assert_agrees(world, rank, sites[rank])
+        assert len(world._cache) == 0
+        for rank in ranks:
+            world.site(rank)
+        # Every site cached: reads still replay the prefix, and never
+        # look the site up.
+        hits = world._cache.hits
+        for rank in ranks:
+            self._assert_agrees(world, rank, sites[rank])
+        assert world._cache.hits == hits
+        # Every site class (ranks <= 30 included) and real adopters.
+        classes = {world._class_of(rank) for rank in ranks}
+        assert classes >= {"infrastructure", "dead", "alias", "http-error", "normal"}
+        assert sum(bool(site.episodes) for site in sites.values()) > 50
+
+    def test_rank_bounds(self):
+        world = World(WorldConfig(seed=7, n_domains=self.N))
+        for rank in (0, self.N + 1):
+            with pytest.raises(KeyError):
+                world.cmp_history(rank)
+            with pytest.raises(KeyError):
+                world.cmp_on(rank, dt.date(2020, 1, 1))
